@@ -428,6 +428,8 @@ def step_mean_curves(results: list, estimators: list) -> tuple[list, dict]:
 
 
 def min_mse_table(results: list, estimators: list) -> list:
+    """Per replicate, each estimator's smallest off-diagonal MSE over
+    its path; ``"NA"`` where the estimator fitted no point."""
     rows = []
     for rep in results:
         row = [rep["replicate"]]
@@ -437,12 +439,26 @@ def min_mse_table(results: list, estimators: list) -> list:
                 for pt in rep["estimators"][est]["points"]
                 if "mse_offdiag" in pt
             ]
-            row.append(min(vals) if vals else float("inf"))
+            row.append(min(vals) if vals else "NA")
         rows.append(row)
     return rows
 
 
+def _bench_workers() -> int:
+    """Worker processes for `bench` from ``RGGM_THREADS``: a positive
+    integer caps them; 0, empty or unset means one per CPU."""
+    text = os.environ.get("RGGM_THREADS", "").strip()
+    try:
+        workers = int(text or "0")
+    except ValueError:
+        workers = None
+    if workers is None or workers < 0:
+        raise InputError(f"RGGM_THREADS must be an integer >= 0, got {text!r}")
+    return workers or (os.cpu_count() or 1)
+
+
 def run_bench(args) -> int:
+    workers = _bench_workers()
     estimators = [e.strip() for e in args.estimators.split(",") if e.strip()]
     for est in estimators:
         if est not in ESTIMATORS:
@@ -466,8 +482,7 @@ def run_bench(args) -> int:
                 "normalize": args.normalize,
             }
         )
-    workers = int(os.environ.get("RGGM_THREADS", "0")) or (os.cpu_count() or 1)
-    workers = max(1, min(workers, len(tasks)))
+    workers = min(workers, len(tasks))
     if workers == 1:
         results = []
         for t in tasks:

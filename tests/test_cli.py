@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from robustggm import cli
+from robustggm.errors import DegenerateScatter
 from robustggm.fileio import read_csv, write_csv
 
 
@@ -265,3 +266,54 @@ def test_csv_roundtrip_17_digits(tmp_path):
     write_csv(path, X)
     back = read_csv(path)
     assert np.array_equal(back, X)
+
+
+def test_bench_failed_estimator_exit_2_with_all_artifacts(tmp_path, monkeypatch):
+    real_fit_path = cli.fit_path
+
+    def fit_path(estimator, X, **kw):
+        if estimator == "npn":
+            raise DegenerateScatter("forced failure")
+        return real_fit_path(estimator, X, **kw)
+
+    monkeypatch.setattr(cli, "fit_path", fit_path)
+    monkeypatch.setenv("RGGM_THREADS", "1")
+    out = tmp_path / "bench"
+    code = run(
+        ["bench", "--p", "5", "--n", "60", "--model", "i", "--epsilon", "0.1",
+         "--replicates", "1", "--seed", "3", "--estimators", "glasso,npn",
+         "--lambda-grid", "3,0.3", "--out", str(out), "--quiet"]
+    )
+    assert code == 2
+    doc = json.loads((out / "bench.json").read_text())
+    assert doc["replicates"][0]["estimators"]["npn"]["error"] == "forced failure"
+    assert (out / "roc_mean.tsv").exists()
+    mse = [r.split("\t") for r in (out / "mse_summary.tsv").read_text().strip().split("\n")]
+    assert mse[0] == ["replicate", "glasso", "npn"]
+    assert mse[1][0] == "0" and float(mse[1][1]) > 0 and mse[1][2] == "NA"
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
+def test_bench_bad_threads_env_exit_1(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("RGGM_THREADS", value)
+    code = run(
+        ["bench", "--p", "4", "--n", "30", "--model", "i", "--replicates", "1",
+         "--estimators", "glasso", "--out", str(tmp_path / "b"), "--quiet"]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "RGGM_THREADS" in err
+    assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("value, workers", [("0", 3), ("", 3), (" 0 ", 3), ("2", 2), ("5", 5)])
+def test_bench_workers_from_threads_env(monkeypatch, value, workers):
+    monkeypatch.setenv("RGGM_THREADS", value)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    assert cli._bench_workers() == workers
+
+
+def test_bench_workers_threads_env_unset_uses_all_cpus(monkeypatch):
+    monkeypatch.delenv("RGGM_THREADS", raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    assert cli._bench_workers() == 3

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustggm import (
     GlassoProblem,
@@ -11,6 +15,7 @@ from robustggm import (
     reduce_to_standard,
     solve,
 )
+from robustggm.glasso import _lasso_cd
 from conftest import random_spd
 
 
@@ -193,3 +198,73 @@ def test_perturbing_zero_entry_increases_objective():
     bumped[i, j] += 0.1
     bumped[j, i] += 0.1
     assert glasso_objective(bumped, prob) > glasso_objective(sol.omega, prob)
+
+
+# --- property tests ----------------------------------------------------------
+
+def plain_lasso_cd(A, c, t, passes=20000, tol=1e-15):
+    """Reference: cyclic coordinate descent alone, run far past the
+    solver's inner tolerance."""
+    w = np.zeros_like(c)
+    for _ in range(passes):
+        delta = 0.0
+        for k in range(len(c)):
+            val = -(c[k] + A[k] @ w - A[k, k] * w[k])
+            new = np.sign(val) * max(abs(val) - t, 0.0) / A[k, k]
+            delta = max(delta, abs(new - w[k]))
+            w[k] = new
+        if delta <= tol:
+            break
+    return w
+
+
+def lasso_subproblem(seed, m):
+    rng = np.random.default_rng(seed)
+    A = random_spd(rng, m, scale=0.3)
+    A = (A + A.T) / 2
+    c = rng.standard_normal(m)
+    t = float(rng.uniform(0.05, 1.0)) * float(np.abs(c).max())
+    w0 = rng.standard_normal(m) * rng.integers(0, 2, m)  # sparse warm start
+    return A, c, t, w0
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12))
+def test_lasso_cd_meets_kkt_and_matches_plain_cd(seed, m):
+    A, c, t, w = lasso_subproblem(seed, m)
+    r = _lasso_cd(A, w, c, t, inner_tol=1e-12)
+    np.testing.assert_array_equal(r, A @ w)
+    g = c + A @ w
+    on = w != 0
+    assert np.all(np.abs(g[on] + t * np.sign(w[on])) <= 1e-9)
+    assert np.all(np.abs(g[~on]) <= t + 1e-9)
+    assert np.max(np.abs(w - plain_lasso_cd(A, c, t))) <= 1e-8
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(2, 7),
+    lam_scale=st.floats(0.02, 0.9),
+)
+def test_solve_kkt_pd_and_monotone_trace(seed, p, lam_scale):
+    prob = random_problem(np.random.default_rng(seed), p, lam_scale=lam_scale)
+    sol = solve(prob, record_trace=True)
+    assert kkt_residual(sol.omega, prob) < 1e-6
+    np.linalg.cholesky(sol.omega)  # raises unless PD
+    tr = sol.objective_trace
+    assert all(b <= a + 1e-9 * max(1.0, abs(a)) for a, b in zip(tr, tr[1:]))
+
+
+def test_solve_working_memory_is_quadratic_in_p():
+    # At p=150 a solve needs a few p x p arrays (180 KB each); index
+    # data held for every column at once would be O(p^3), 27 MB here.
+    p = 150
+    prob = random_problem(np.random.default_rng(5), p, lam_scale=0.6)
+    tracemalloc.start()
+    try:
+        solve(prob)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * p * p * 8
