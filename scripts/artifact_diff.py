@@ -1,0 +1,132 @@
+"""Run the same `rggm` commands in two checkouts and diff their artifacts.
+
+Each checkout runs, from its own ``src/`` and in its own directory under
+``--work``:
+
+- ``rggm simulate --p 12 --n 300 --model ii --epsilon 0.1 --eta 5 --seed 3``
+- ``rggm fit --estimator E --lambda-grid default`` on that data, for each of
+  gamma, glasso, tlasso and npn
+- the acceptance bench (``rggm bench`` at p=25, n=200, model ii, seed 42,
+  all four estimators), with ``--replicates`` replicates
+
+For every artifact it prints "byte-identical", or how many numbers differ
+and the largest relative difference among them.  Non-numeric tokens that
+differ (edge hashes, statuses) are counted separately.
+
+    python3 scripts/artifact_diff.py BEFORE_CHECKOUT AFTER_CHECKOUT \\
+        --work /tmp/adiff [--replicates 20] [--skip-bench]
+
+Exit status 0 when every artifact is byte-identical and the exit codes
+agree, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ESTIMATORS = ("gamma", "glasso", "tlasso", "npn")
+SIMULATE = ["simulate", "--p", "12", "--n", "300", "--model", "ii", "--epsilon", "0.1",
+            "--eta", "5", "--seed", "3", "--out", "sim", "--quiet"]
+BENCH = ["bench", "--p", "25", "--n", "200", "--model", "ii", "--epsilon", "0.1",
+         "--eta", "5", "--gamma", "0.05", "--nu", "1", "--seed", "42",
+         "--estimators", ",".join(ESTIMATORS), "--lambda-grid", "default",
+         "--out", "bench", "--quiet"]
+SPLIT = re.compile(r'[\s,\[\]{}:"]+')
+
+
+def commands(replicates: int | None) -> list[list[str]]:
+    cmds = [SIMULATE]
+    for est in ESTIMATORS:
+        cmds.append(["fit", "--estimator", est, "--lambda-grid", "default",
+                     "--input", "sim/data.csv", "--out", f"fit_{est}", "--quiet"])
+    if replicates is not None:
+        cmds.append(BENCH + ["--replicates", str(replicates)])
+    return cmds
+
+
+def artifacts(replicates: int | None) -> list[str]:
+    names = ["sim/data.csv", "sim/truth.json"]
+    for est in ESTIMATORS:
+        names += [f"fit_{est}/fit.json", f"fit_{est}/path.tsv"]
+    if replicates is not None:
+        names += ["bench/bench.json", "bench/roc_mean.tsv", "bench/mse_summary.tsv"]
+    return names
+
+
+def run_checkout(checkout: Path, workdir: Path, cmds) -> list[int]:
+    workdir.mkdir(parents=True, exist_ok=False)
+    env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"))
+    codes = []
+    for argv in cmds:
+        done = subprocess.run([sys.executable, "-m", "robustggm.cli", *argv], cwd=workdir, env=env)
+        codes.append(done.returncode)
+    return codes
+
+
+def _number(token: str) -> float | None:
+    try:
+        return float(token)
+    except ValueError:
+        return None
+
+
+def diff_text(a: str, b: str) -> str:
+    """"byte-identical", or a count of differing numbers and tokens."""
+    if a == b:
+        return "byte-identical"
+    ta, tb = SPLIT.split(a), SPLIT.split(b)
+    if len(ta) != len(tb):
+        return f"structure differs ({len(ta)} vs {len(tb)} tokens)"
+    numbers, others, worst = 0, 0, 0.0
+    for x, y in zip(ta, tb):
+        if x == y:
+            continue
+        fx, fy = _number(x), _number(y)
+        if fx is None or fy is None:
+            others += 1
+            continue
+        numbers += 1
+        scale = max(abs(fx), abs(fy))
+        worst = max(worst, abs(fx - fy) / scale if scale else 0.0)
+    text = f"{numbers} numbers differ, max relative difference {worst:.3g}"
+    return text + (f"; {others} other tokens differ" if others else "")
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("before", type=Path)
+    ap.add_argument("after", type=Path)
+    ap.add_argument("--work", type=Path, required=True, help="new directory for both runs")
+    ap.add_argument("--replicates", type=int, default=20)
+    ap.add_argument("--skip-bench", action="store_true")
+    args = ap.parse_args()
+    replicates = None if args.skip_bench else args.replicates
+    cmds = commands(replicates)
+    codes = {}
+    for label, checkout in (("before", args.before), ("after", args.after)):
+        codes[label] = run_checkout(checkout, args.work / label, cmds)
+    same = True
+    for argv, ca, cb in zip(cmds, codes["before"], codes["after"]):
+        if ca != cb:
+            same = False
+            print(f"exit codes differ for `rggm {' '.join(argv[:3])} ...`: {ca} vs {cb}")
+    for name in artifacts(replicates):
+        pa, pb = args.work / "before" / name, args.work / "after" / name
+        if not (pa.exists() and pb.exists()):
+            result = "missing in " + " and ".join(
+                label for label, p in (("before", pa), ("after", pb)) if not p.exists()
+            )
+        else:
+            result = diff_text(pa.read_text(), pb.read_text())
+        same = same and result == "byte-identical"
+        print(f"{name}: {result}")
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

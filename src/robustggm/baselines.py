@@ -2,7 +2,9 @@
 nonparanormal rank transform followed by a graphical lasso.
 
 The standard graphical lasso itself is the gamma = 0 branch of
-:mod:`robustggm.gamma_mm` and needs no separate code path.
+:mod:`robustggm.gamma_mm` and needs no separate code path.  The paths
+here reuse its grid, warm-started path loop, diagonal fixed point and
+weighted scatter; only the weight rule and the inner loop differ.
 """
 
 from __future__ import annotations
@@ -16,7 +18,10 @@ from scipy.stats import rankdata
 
 from . import glasso
 from .errors import DegenerateColumn, EmptyDataset
-from .gamma_mm import FitResult, robust_init
+from .gamma_mm import (
+    FitResult, SolutionPath, diagonal_fixed_point, geometric_grid, offdiag_absmax,
+    robust_init, warm_path, weighted_scatter,
+)
 from .matcore import quad_form, spd_factorize
 from .objective import ModelParams, RobustConfig, l1_offdiag
 
@@ -81,13 +86,16 @@ def _t_objective(X, mu, omega, cfg: TlassoConfig) -> float:
     )
 
 
+def _t_weights(q: np.ndarray, p: int, nu: float) -> np.ndarray:
+    raw = (nu + p) / (nu + q)
+    return raw / raw.sum()
+
+
 def tlasso_weights(X: np.ndarray, theta: ModelParams, nu: float) -> np.ndarray:
     """Normalized EM weights u_i = u~_i / sum_j u~_j with
     u~_i = (nu + p) / (nu + (x_i - mu)' omega (x_i - mu))."""
     f = spd_factorize(theta.omega)
-    q = quad_form(f, np.atleast_2d(X) - theta.mu)
-    raw = (nu + theta.p) / (nu + q)
-    return raw / raw.sum()
+    return _t_weights(quad_form(f, np.atleast_2d(X) - theta.mu), theta.p, nu)
 
 
 def fit_tlasso(
@@ -111,9 +119,7 @@ def fit_tlasso(
     for _ in range(cfg.max_iter):
         u = tlasso_weights(X, theta, cfg.nu)
         mu_next = u @ X
-        d = X - mu_next
-        s_u = (d * u[:, None]).T @ d
-        s_u = (s_u + s_u.T) / 2.0
+        s_u = weighted_scatter(X, mu_next, u)
         sol = glasso.solve(
             glasso.GlassoProblem(s=s_u, lam=cfg.lam), init=theta.omega
         )
@@ -139,35 +145,31 @@ def fit_tlasso(
 
 def tlasso_diagonal_start(
     X: np.ndarray, nu: float, tol: float = 1e-12, max_iter: int = 2000
-) -> tuple[ModelParams, float]:
-    """Diagonal-precision EM fixed point and the penalty level that
-    keeps the t estimate diagonal (the max absolute off-diagonal of the
-    weighted scatter there); anchors the tlasso path grid."""
+) -> tuple[ModelParams, np.ndarray, float]:
+    """tlasso's :func:`~robustggm.gamma_mm.diagonal_fixed_point` (normalized
+    t weights, variance scale 1) from the median and adjusted MAD; its lam1,
+    the largest off-diagonal of the scatter fit_tlasso's M-step solves
+    there, anchors the tlasso path.  Returns (theta, S_u, lam1)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    n, p = X.shape
     start = robust_init(X)
-    mu = start.mu.copy()
-    sig = 1.0 / np.diag(start.omega)
-    for _ in range(max_iter):
-        q = np.sum((X - mu) ** 2 / sig, axis=1)
-        raw = (nu + p) / (nu + q)
-        u = raw / raw.sum()
-        mu_new = u @ X
-        sig_new = u @ (X - mu_new) ** 2
-        done = max(
-            np.max(np.abs(mu_new - mu)), np.max(np.abs(sig_new - sig))
-        ) <= tol * max(1.0, np.max(np.abs(mu)), np.max(sig))
-        mu, sig = mu_new, sig_new
-        if done:
-            break
-    q = np.sum((X - mu) ** 2 / sig, axis=1)
-    raw = (nu + p) / (nu + q)
-    u = raw / raw.sum()
-    d = X - mu
-    s_u = (d * u[:, None]).T @ d
-    off = ~np.eye(p, dtype=bool)
-    lam1 = float(np.max(np.abs(s_u[off])))
-    return ModelParams(mu=mu, omega=np.diag(1.0 / np.diag(s_u))), lam1
+    return diagonal_fixed_point(
+        X, start.mu, 1.0 / np.diag(start.omega),
+        lambda q, sig: _t_weights(q, X.shape[1], nu), 1.0, tol, max_iter,
+    )
+
+
+def tlasso_path(
+    X: np.ndarray, nu: float, K: int = 10, delta: float = 0.2, max_iter: int = 200
+) -> SolutionPath:
+    """Warm-started tlasso fits on the geometric grid below tlasso's own
+    lambda_max, the first from its diagonal EM fixed point."""
+    theta0, _, lam1 = tlasso_diagonal_start(X, nu)
+    return warm_path(
+        geometric_grid(lam1, K, delta), theta0,
+        lambda lam, theta: fit_tlasso(
+            X, TlassoConfig(nu=nu, lam=lam, max_iter=max_iter), init=theta
+        ),
+    )
 
 
 def npn_delta(n: int) -> float:
@@ -204,27 +206,45 @@ def npn_transform(X: np.ndarray, cfg: NpnConfig) -> np.ndarray:
     return out
 
 
+def _npn_scatter(Z: np.ndarray, use_correlation: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Column means and the biased sample covariance (or correlation)."""
+    mu = Z.mean(axis=0)
+    d = Z - mu
+    s = d.T @ d / Z.shape[0]
+    s = (s + s.T) / 2.0
+    if use_correlation:
+        scale = np.sqrt(np.diag(s))
+        s = s / np.outer(scale, scale)
+        s = (s + s.T) / 2.0
+    return mu, s
+
+
+def _npn_solve(mu, s, n: int, lam: float, start: ModelParams | None = None) -> FitResult:
+    """Graphical lasso on ``s``, cold or warm from ``start``; uniform weights."""
+    problem = glasso.GlassoProblem(s=s, lam=lam)
+    sol = glasso.solve(problem, init=None if start is None else start.omega)
+    return FitResult(
+        theta=ModelParams(mu=mu, omega=sol.omega), weights=np.full(n, 1.0 / n),
+        objective_trace=(glasso.glasso_objective(sol.omega, problem),), converged=True,
+        mm_iterations=sol.iterations, config=RobustConfig(gamma=0.0, lam=lam),
+    )
+
+
 def fit_nonparanormal(X: np.ndarray, cfg: NpnConfig) -> FitResult:
     """Graphical lasso on the biased sample covariance (or correlation)
     of the transformed data; weights are reported as uniform."""
     Z = npn_transform(X, cfg)
-    n = Z.shape[0]
-    mu = Z.mean(axis=0)
-    d = Z - mu
-    s = d.T @ d / n
-    s = (s + s.T) / 2.0
-    if cfg.use_correlation:
-        scale = np.sqrt(np.diag(s))
-        s = s / np.outer(scale, scale)
-        s = (s + s.T) / 2.0
-    sol = glasso.solve(glasso.GlassoProblem(s=s, lam=cfg.lam))
-    theta = ModelParams(mu=mu, omega=sol.omega)
-    obj = float(glasso.glasso_objective(sol.omega, glasso.GlassoProblem(s=s, lam=cfg.lam)))
-    return FitResult(
-        theta=theta,
-        weights=np.full(n, 1.0 / n),
-        objective_trace=(obj,),
-        converged=True,
-        mm_iterations=sol.iterations,
-        config=RobustConfig(gamma=0.0, lam=cfg.lam),
+    return _npn_solve(*_npn_scatter(Z, cfg.use_correlation), Z.shape[0], cfg.lam)
+
+
+def npn_path(X: np.ndarray, cfg: NpnConfig, K: int = 10, delta: float = 0.2) -> SolutionPath:
+    """Graphical lasso path on the data transformed and reduced to its
+    scatter once, below that scatter's largest off-diagonal entry (where
+    the support empties).  The first point is solved cold, as by
+    :func:`fit_nonparanormal`, the rest warm.  ``cfg.lam`` is unused."""
+    Z = npn_transform(X, cfg)
+    mu, s = _npn_scatter(Z, cfg.use_correlation)
+    return warm_path(
+        geometric_grid(offdiag_absmax(s), K, delta), None,
+        lambda lam, theta: _npn_solve(mu, s, Z.shape[0], lam, theta),
     )

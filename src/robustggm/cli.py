@@ -18,10 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines, fileio, gamma_mm, glasso, metrics, simgen
+from . import baselines, fileio, gamma_mm, metrics, simgen
 from .errors import InputError, RobustGgmError
 from .gamma_mm import FitResult
-from .objective import ModelParams, RobustConfig
+from .objective import RobustConfig
 
 ESTIMATORS = ("gamma", "glasso", "tlasso", "npn")
 
@@ -63,83 +63,21 @@ def fit_single(estimator, X, *, gamma, lam, nu, delta_n, tol, max_iter) -> FitRe
     raise InputError(f"unknown estimator {estimator!r}")
 
 
-def _npn_path(X, delta_n, lambdas):
-    Z = baselines.npn_transform(X, baselines.NpnConfig(delta_n=delta_n))
-    fits, statuses = [], []
-    prev = None
-    for lam in lambdas:
-        cfg = baselines.NpnConfig(delta_n=delta_n, lam=float(lam))
-        try:
-            if prev is None:
-                res = baselines.fit_nonparanormal(X, cfg)
-            else:  # reuse the transform; warm-start the solver
-                n = Z.shape[0]
-                mu = Z.mean(axis=0)
-                d = Z - mu
-                s = (d.T @ d) / n
-                s = (s + s.T) / 2.0
-                sol = glasso.solve(
-                    glasso.GlassoProblem(s=s, lam=float(lam)), init=prev
-                )
-                res = FitResult(
-                    theta=ModelParams(mu=mu, omega=sol.omega),
-                    weights=np.full(n, 1.0 / n),
-                    objective_trace=(
-                        glasso.glasso_objective(
-                            sol.omega, glasso.GlassoProblem(s=s, lam=float(lam))
-                        ),
-                    ),
-                    converged=True,
-                    mm_iterations=sol.iterations,
-                    config=RobustConfig(gamma=0.0, lam=float(lam)),
-                )
-            fits.append(res)
-            statuses.append("ok")
-            prev = res.theta.omega
-        except RobustGgmError as exc:
-            fits.append(None)
-            statuses.append(f"error: {exc}")
-    return fits, statuses
-
-
 def fit_path(estimator, X, *, gamma, nu, delta_n, K, delta, tol, max_iter):
-    """Warm-started decreasing-penalty path for any estimator.
-
-    Returns (lambdas, fits, statuses).  The gamma/glasso grid anchors at
-    the estimator's own lambda_max; tlasso and npn anchor at the uniform
-    -weight (gamma = 0) lambda_max of the (transformed) data.
+    """Warm-started decreasing-penalty path for any estimator, on the
+    geometric grid below the estimator's own lambda_max (each path
+    function documents its anchor).  Returns (lambdas, fits, statuses).
     """
     if estimator in ("gamma", "glasso"):
         g = gamma if estimator == "gamma" else 0.0
         path = gamma_mm.solution_path(X, g, K=K, delta=delta, tol=tol, max_iter=max_iter)
-        return path.lambdas, list(path.fits), list(path.statuses)
-    if estimator == "tlasso":
-        theta0, lam1 = baselines.tlasso_diagonal_start(X, nu)
-        lambdas = lam1 * delta ** (np.arange(K) / (K - 1))
-        fits, statuses = [], []
-        theta = theta0
-        for lam in lambdas:
-            cfg = baselines.TlassoConfig(nu=nu, lam=float(lam), max_iter=max_iter)
-            try:
-                res = baselines.fit_tlasso(X, cfg, init=theta)
-                fits.append(res)
-                statuses.append("ok" if res.converged else "max_iter")
-                theta = res.theta
-            except RobustGgmError as exc:
-                fits.append(None)
-                statuses.append(f"error: {exc}")
-        return lambdas, fits, statuses
-    if estimator == "npn":
-        Z = baselines.npn_transform(X, baselines.NpnConfig(delta_n=delta_n))
-        n, p = Z.shape
-        d = Z - Z.mean(axis=0)
-        s = (d.T @ d) / n
-        off = ~np.eye(p, dtype=bool)
-        lam1 = float(np.max(np.abs(s[off])))
-        lambdas = lam1 * delta ** (np.arange(K) / (K - 1))
-        fits, statuses = _npn_path(X, delta_n, lambdas)
-        return lambdas, fits, statuses
-    raise InputError(f"unknown estimator {estimator!r}")
+    elif estimator == "tlasso":
+        path = baselines.tlasso_path(X, nu, K=K, delta=delta, max_iter=max_iter)
+    elif estimator == "npn":
+        path = baselines.npn_path(X, baselines.NpnConfig(delta_n=delta_n), K=K, delta=delta)
+    else:
+        raise InputError(f"unknown estimator {estimator!r}")
+    return path.lambdas, list(path.fits), list(path.statuses)
 
 
 # --- artifact serialization ------------------------------------------------
@@ -229,8 +167,6 @@ def run_fit(args) -> int:
     X = fileio.read_csv(args.input)
     if args.normalize != "none":
         X = metrics.normalize(X, args.normalize)
-    if args.estimator not in ESTIMATORS:
-        raise InputError(f"unknown estimator {args.estimator!r}")
     if args.gamma < 0 or args.nu <= 0:
         raise InputError("gamma must be >= 0 and nu > 0")
     outdir = Path(args.out)
@@ -316,11 +252,7 @@ def run_evaluate(args) -> int:
                 {
                     "lambda": rec["lambda"],
                     "nnz": rec["nnz"],
-                    "tpr": (
-                        len(est.edges & truth_edges.edges) / len(truth_edges)
-                        if len(truth_edges)
-                        else 0.0
-                    ),
+                    "tpr": metrics.true_positive_rate(est, truth_edges),
                     "mse_offdiag": metrics.mse_offdiag(omega, truth_omega),
                 }
             )
@@ -377,7 +309,7 @@ def _bench_replicate(task: dict) -> dict:
                     "lambda": float(lam),
                     "status": status,
                     "nnz": 2 * len(e),
-                    "tpr": len(e.edges & truth_edges.edges) / max(len(truth_edges), 1),
+                    "tpr": metrics.true_positive_rate(e, truth_edges),
                     "mse_offdiag": metrics.mse_offdiag(res.theta.omega, truth.omega),
                 }
             )

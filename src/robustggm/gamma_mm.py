@@ -27,12 +27,7 @@ from scipy.special import logsumexp
 
 from . import glasso
 from .errors import (
-    DegenerateSample,
-    DegenerateScatter,
-    DimensionMismatch,
-    EmptyDataset,
-    MaxSweepsExceeded,
-    NotPositiveDefinite,
+    DegenerateSample, DegenerateScatter, DimensionMismatch, EmptyDataset, RobustGgmError,
 )
 from .objective import (
     ModelParams,
@@ -76,7 +71,7 @@ class SolutionPath:
     """Warm-started fits over a decreasing geometric penalty grid.
 
     ``statuses[k]`` is "ok", "max_iter", or "error: ..." per grid point;
-    failed points hold None in ``fits``.
+    failed points hold None in ``fits``.  tlasso and npn paths echo gamma 0.
     """
 
     lambdas: np.ndarray
@@ -95,7 +90,15 @@ def compute_weights(X: np.ndarray, theta: ModelParams, gamma: float) -> np.ndarr
         raise ValueError("gamma must be >= 0")
     if gamma == 0.0:
         return np.full(X.shape[0], 1.0 / X.shape[0])
-    logits = gamma * log_density(X, theta)
+    return exp_weights(log_density(X, theta), gamma)
+
+
+def exp_weights(a: np.ndarray, c: float) -> np.ndarray:
+    """w_i = exp(c a_i) / sum_j exp(c a_j) in the log domain, uniform at c = 0:
+    f^gamma for a = log f, c = gamma, or for a = -2 log f + const, c = -gamma/2."""
+    if c == 0.0:
+        return np.full(a.shape[0], 1.0 / a.shape[0])
+    logits = c * a
     w = np.exp(logits - logsumexp(logits))
     return w / w.sum()
 
@@ -239,14 +242,8 @@ def univariate_gamma_fit(
     mad = MAD_CONSTANT * float(np.median(np.abs(x - mu)))
     sigma = mad**2 if mad > 0 else float(x.var())
     floor = 1e-15 * span**2
-    n = x.shape[0]
     for _ in range(max_iter):
-        if gamma == 0.0:
-            w = np.full(n, 1.0 / n)
-        else:
-            logits = -0.5 * gamma * ((x - mu) ** 2 / sigma + np.log(sigma))
-            w = np.exp(logits - logsumexp(logits))
-            w /= w.sum()
+        w = exp_weights((x - mu) ** 2 / sigma + np.log(sigma), -0.5 * gamma)
         mu_new = float(w @ x)
         sigma_new = max((1.0 + gamma) * float(w @ (x - mu_new) ** 2), floor)
         done = max(abs(mu_new - mu), abs(sigma_new - sigma)) <= tol * max(
@@ -258,41 +255,29 @@ def univariate_gamma_fit(
     return UnivariateFit(mu_j=mu, sigma_jj=sigma)
 
 
-def diagonal_start(
-    X: np.ndarray, gamma: float, tol: float = 1e-13, max_iter: int = 2000
+def offdiag_absmax(s: np.ndarray) -> float:
+    """max_{j != k} |s[j, k]|: the least penalty with an empty glasso support on ``s``."""
+    return float(np.max(np.abs(s[~np.eye(s.shape[0], dtype=bool)])))
+
+
+def diagonal_fixed_point(
+    X: np.ndarray, mu: np.ndarray, sig: np.ndarray, weigh, scale: float, tol: float, max_iter: int
 ) -> tuple[ModelParams, np.ndarray, float]:
-    """Diagonal-precision fixed point and the penalty level that keeps it.
+    """Fixed point of a weighted estimator held to diagonal precision.
 
-    Per-variable univariate fits seed a joint iteration constrained to
-    diagonal precision (weights from the product density, weighted mean,
-    per-coordinate variance times (1+gamma)).  At its fixed point the
-    weighted scatter S_w is returned along with
-    ``lam1 = max_{j != k} |S_w[j, k]|``: for any lam >= lam1 the MM
-    iteration started here is stationary with empty off-diagonal
-    support.
-
-    Returns (theta, S_w, lam1).
+    From the seed (mu, sig) it iterates the weights ``weigh(q, sig)`` of
+    q_i = sum_j (x_ij - mu_j)^2 / sig_j, their weighted mean, and the
+    weighted variances times ``scale`` (the estimator's 1/kappa).
+    Returns (theta, S_w, lam1).  The estimator's precision step solves
+    the graphical lasso on S_w, the weighted scatter there, so for
+    lam >= lam1 = max_{j != k} |S_w[j, k]| it is stationary at theta.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    n, p = X.shape
-    if p < 2:
+    if X.shape[1] < 2:
         raise DimensionMismatch("need at least two variables")
-    mu = np.empty(p)
-    sig = np.empty(p)
-    for j in range(p):
-        uni = univariate_gamma_fit(X[:, j], gamma)
-        mu[j] = uni.mu_j
-        sig[j] = uni.sigma_jj
     for _ in range(max_iter):
-        if gamma == 0.0:
-            w = np.full(n, 1.0 / n)
-        else:
-            d2 = (X - mu) ** 2 / sig
-            logits = -0.5 * gamma * (d2.sum(axis=1) + np.log(sig).sum())
-            w = np.exp(logits - logsumexp(logits))
-            w /= w.sum()
+        w = weigh(np.sum((X - mu) ** 2 / sig, axis=1), sig)
         mu_new = w @ X
-        sig_new = (1.0 + gamma) * (w @ (X - mu_new) ** 2)
+        sig_new = scale * (w @ (X - mu_new) ** 2)
         if np.any(sig_new <= 0):
             raise DegenerateScatter("weights collapsed in the diagonal fit")
         done = max(
@@ -301,18 +286,24 @@ def diagonal_start(
         mu, sig = mu_new, sig_new
         if done:
             break
-    if gamma == 0.0:
-        w = np.full(n, 1.0 / n)
-    else:
-        d2 = (X - mu) ** 2 / sig
-        logits = -0.5 * gamma * (d2.sum(axis=1) + np.log(sig).sum())
-        w = np.exp(logits - logsumexp(logits))
-        w /= w.sum()
-    s_w = weighted_scatter(X, mu, w)
-    off = ~np.eye(p, dtype=bool)
-    lam1 = float(np.max(np.abs(s_w[off])))
-    theta = ModelParams(mu=mu, omega=np.diag(1.0 / ((1.0 + gamma) * np.diag(s_w))))
-    return theta, s_w, lam1
+    s_w = weighted_scatter(X, mu, weigh(np.sum((X - mu) ** 2 / sig, axis=1), sig))
+    theta = ModelParams(mu=mu, omega=np.diag(1.0 / (scale * np.diag(s_w))))
+    return theta, s_w, offdiag_absmax(s_w)
+
+
+def diagonal_start(
+    X: np.ndarray, gamma: float, tol: float = 1e-13, max_iter: int = 2000
+) -> tuple[ModelParams, np.ndarray, float]:
+    """The gamma estimator's :func:`diagonal_fixed_point` (weights f^gamma,
+    variance scale 1 + gamma) from the per-variable univariate fits; its
+    lam1 anchors the gamma and glasso paths.  Returns (theta, S_w, lam1)."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    uni = [univariate_gamma_fit(X[:, j], gamma) for j in range(X.shape[1])]
+    return diagonal_fixed_point(
+        X, np.array([u.mu_j for u in uni]), np.array([u.sigma_jj for u in uni]),
+        lambda q, sig: exp_weights(q + np.log(sig).sum(), -0.5 * gamma),
+        1.0 + gamma, tol, max_iter,
+    )
 
 
 def lambda_max(X: np.ndarray, gamma: float) -> float:
@@ -321,6 +312,35 @@ def lambda_max(X: np.ndarray, gamma: float) -> float:
     at the diagonal fixed point (see :func:`diagonal_start`)."""
     _, _, lam1 = diagonal_start(X, gamma)
     return lam1
+
+
+def geometric_grid(lam1: float, K: int, delta: float) -> np.ndarray:
+    """lam_k = lam1 * delta^((k-1)/(K-1)), k = 1..K, down to delta * lam1."""
+    if K < 2 or not 0.0 < delta < 1.0:
+        raise ValueError("the grid needs K >= 2 and delta in (0, 1)")
+    return lam1 * delta ** (np.arange(K) / (K - 1))
+
+
+def warm_path(
+    lambdas: np.ndarray, theta0: ModelParams | None, fit_at, gamma: float = 0.0
+) -> SolutionPath:
+    """Run ``fit_at(lam, start)`` down the grid from ``theta0``, each
+    point starting at the last successful estimate.  A RobustGgmError
+    at a point makes its status "error: ..." and its fit None, and the
+    path goes on; other statuses are "ok" and "max_iter"."""
+    fits, statuses = [], []
+    theta = theta0
+    for lam in lambdas:
+        try:
+            res = fit_at(float(lam), theta)
+        except RobustGgmError as exc:
+            fits.append(None)
+            statuses.append(f"error: {exc}")
+            continue
+        fits.append(res)
+        statuses.append("ok" if res.converged else "max_iter")
+        theta = res.theta
+    return SolutionPath(lambdas=lambdas, fits=tuple(fits), gamma=gamma, statuses=tuple(statuses))
 
 
 def solution_path(
@@ -335,29 +355,14 @@ def solution_path(
 
     The first point starts at the diagonal fixed point (so its support
     is empty); each later point starts from its predecessor's estimate.
-    Estimation errors are recorded per point and do not abort the path.
+    Estimation errors are recorded per point (see :func:`warm_path`).
     """
-    if K < 2:
-        raise ValueError("K must be >= 2")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     theta0, _, lam1 = diagonal_start(X, gamma)
-    lambdas = lam1 * delta ** (np.arange(K) / (K - 1))
-    fits: list[FitResult | None] = []
-    statuses: list[str] = []
-    theta = theta0
-    for lam in lambdas:
-        cfg = RobustConfig(gamma=gamma, lam=float(lam))
-        try:
-            res = fit(X, cfg, init=theta, tol=tol, max_iter=max_iter)
-        except (DegenerateScatter, MaxSweepsExceeded, NotPositiveDefinite) as exc:
-            fits.append(None)
-            statuses.append(f"error: {exc}")
-            continue
-        fits.append(res)
-        statuses.append("ok" if res.converged else "max_iter")
-        theta = res.theta
-    return SolutionPath(
-        lambdas=lambdas, fits=tuple(fits), gamma=gamma, statuses=tuple(statuses)
+    return warm_path(
+        geometric_grid(lam1, K, delta), theta0,
+        lambda lam, theta: fit(
+            X, RobustConfig(gamma=gamma, lam=lam), init=theta, tol=tol, max_iter=max_iter
+        ),
+        gamma,
     )

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateColumn, DimensionMismatch, EmptyTruth
+from .gamma_mm import MAD_CONSTANT
 from .matcore import require_symmetric
-
-MAD_CONSTANT = 1.4826
 
 
 @dataclass(frozen=True)
@@ -58,6 +57,11 @@ def edge_set(omega: np.ndarray, zero_tol: float = 1e-8) -> EdgeSet:
     )
 
 
+def true_positive_rate(est: EdgeSet, truth: EdgeSet) -> float:
+    """|est n truth| / |truth|; 0.0 when the truth has no edges."""
+    return len(est.edges & truth.edges) / len(truth) if len(truth) else 0.0
+
+
 def roc_points(path, truth: EdgeSet) -> RocCurve:
     """Per-path-point (nonzero count, TPR) against the true support.
 
@@ -73,8 +77,7 @@ def roc_points(path, truth: EdgeSet) -> RocCurve:
         est = edge_set(res.theta.omega)
         if est.p != truth.p:
             raise DimensionMismatch(f"estimate p={est.p} vs truth p={truth.p}")
-        tpr = len(est.edges & truth.edges) / len(truth)
-        pts.append((2 * len(est), tpr))
+        pts.append((2 * len(est), true_positive_rate(est, truth)))
     pts.sort(key=lambda t: (t[0], t[1]))
     return RocCurve(points=tuple(pts))
 

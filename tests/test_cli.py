@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from robustggm import cli
-from robustggm.errors import DegenerateScatter
+from robustggm import baselines, cli, glasso
+from robustggm.errors import DegenerateScatter, MaxSweepsExceeded
 from robustggm.fileio import read_csv, write_csv
+from robustggm.metrics import edge_set
+from conftest import mixture_24
 
 
 def run(args):
@@ -147,6 +149,33 @@ def test_fit_nonconvergence_exit_2(simdir, tmp_path):
     doc = json.loads((out / "fit.json").read_text())
     assert doc["fits"][0]["status"] == "max_iter"
     assert "omega" in doc  # result still written
+
+
+def test_fit_grid_point_failure_exit_2_with_artifacts(simdir, tmp_path, monkeypatch):
+    # every solve at the second grid point's penalty fails
+    seen = []
+    orig = glasso.solve
+
+    def failing(problem, **kw):
+        if problem.lam not in seen:
+            seen.append(problem.lam)
+        if len(seen) > 1 and problem.lam == seen[1]:
+            raise MaxSweepsExceeded(problem.s, 1.0, 0)
+        return orig(problem, **kw)
+
+    monkeypatch.setattr(glasso, "solve", failing)
+    out = tmp_path / "fail"
+    code = run(
+        ["fit", "--estimator", "tlasso", "--lambda-grid", "4,0.3",
+         "--input", str(simdir / "data.csv"), "--out", str(out), "--quiet"]
+    )
+    assert code == 2
+    doc = json.loads((out / "fit.json").read_text())
+    statuses = [rec["status"] for rec in doc["fits"]]
+    assert statuses[1].startswith("error: no convergence")
+    assert "omega" not in doc["fits"][1]
+    assert statuses[0] == statuses[2] == statuses[3] == "ok"
+    assert (out / "path.tsv").exists()
 
 
 def test_fit_missing_lambda_exit_1(simdir, tmp_path):
@@ -317,3 +346,36 @@ def test_bench_workers_threads_env_unset_uses_all_cpus(monkeypatch):
     monkeypatch.delenv("RGGM_THREADS", raising=False)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     assert cli._bench_workers() == 3
+
+
+# --- fit_path: the shared path layer for every estimator --------------------
+
+PATH_KW = dict(gamma=0.1, nu=1.0, delta_n="auto", K=10, delta=0.2, tol=1e-7, max_iter=200)
+
+
+@pytest.mark.parametrize("estimator", cli.ESTIMATORS)
+def test_fit_path_shape(estimator):
+    X, _, _ = mixture_24(seed=22)
+    lambdas, fits, statuses = cli.fit_path(estimator, X, **PATH_KW)
+    assert len(lambdas) == len(fits) == len(statuses) == 10
+    assert all(s == "ok" for s in statuses)
+    assert len(edge_set(fits[0].theta.omega)) == 0
+    assert np.all(np.diff(lambdas) < 0)
+    assert lambdas[-1] == 0.2 * lambdas[0]
+
+
+def test_npn_path_transforms_once_and_starts_cold(monkeypatch):
+    X, _, _ = mixture_24(seed=23)
+    calls = []
+    orig = baselines.npn_transform
+
+    def counting(*args, **kw):
+        calls.append(1)
+        return orig(*args, **kw)
+
+    monkeypatch.setattr(baselines, "npn_transform", counting)
+    lambdas, fits, _ = cli.fit_path("npn", X, **PATH_KW)
+    assert len(calls) == 1
+    first = baselines.fit_nonparanormal(X, baselines.NpnConfig(lam=float(lambdas[0])))
+    assert np.array_equal(fits[0].theta.mu, first.theta.mu)
+    assert np.array_equal(fits[0].theta.omega, first.theta.omega)

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -23,6 +25,8 @@ from robustggm import (
     univariate_gamma_fit,
     weighted_scatter,
 )
+from robustggm.errors import DegenerateScatter
+from robustggm.gamma_mm import geometric_grid, warm_path
 from conftest import mixture_24, random_spd, random_theta
 
 
@@ -386,3 +390,37 @@ def test_path_statuses_ok():
     path = solution_path(X, gamma=0.05, K=6, delta=0.3)
     assert all(s == "ok" for s in path.statuses)
     assert len(path.fits) == len(path.lambdas) == 6
+
+
+def test_geometric_grid_checks():
+    with pytest.raises(ValueError):
+        geometric_grid(1.0, 1, 0.2)
+    with pytest.raises(ValueError):
+        geometric_grid(1.0, 5, 1.0)
+    grid = geometric_grid(3.0, 5, 0.25)
+    assert grid[0] == 3.0 and grid[-1] == 0.75
+
+
+def test_warm_path_point_failure_keeps_going():
+    starts = []
+
+    def fit_at(lam, start):
+        starts.append(start)
+        if lam == 2.0:
+            raise DegenerateScatter("collapsed")
+        return SimpleNamespace(theta=f"theta@{lam}", converged=lam != 4.0)
+
+    path = warm_path(np.array([3.0, 2.0, 1.5, 4.0]), "theta0", fit_at)
+    assert path.statuses == ("ok", "error: collapsed", "ok", "max_iter")
+    assert path.fits[1] is None
+    assert [f.theta for f in path.fits if f is not None] == ["theta@3.0", "theta@1.5", "theta@4.0"]
+    # the point after the failure starts from the last estimate before it
+    assert starts == ["theta0", "theta@3.0", "theta@3.0", "theta@1.5"]
+
+
+def test_warm_path_propagates_non_estimation_errors():
+    def fit_at(lam, start):
+        raise ValueError("bad input")
+
+    with pytest.raises(ValueError):
+        warm_path(np.array([1.0, 0.5]), None, fit_at)

@@ -13,6 +13,7 @@ from robustggm import (
     roc_points,
     total_agreement,
 )
+from robustggm.metrics import true_positive_rate
 
 
 def make_edges(p, pairs):
@@ -261,3 +262,10 @@ def test_normalize_degenerate_column():
     with pytest.raises(DegenerateColumn):
         normalize(Y, "mad")
     normalize(Y, "sd")
+
+
+def test_true_positive_rate():
+    truth = make_edges(4, {(1, 2), (2, 3), (3, 4)})
+    assert true_positive_rate(make_edges(4, {(1, 2), (1, 4)}), truth) == 1 / 3
+    assert true_positive_rate(truth, truth) == 1.0
+    assert true_positive_rate(truth, make_edges(4, set())) == 0.0
