@@ -63,27 +63,26 @@ class NpnConfig:
             raise ValueError("lam must be >= 0")
 
 
-def t_log_density(X: np.ndarray, mu: np.ndarray, omega: np.ndarray, nu: float):
-    """Multivariate-t log-density with shape matrix omega^{-1}."""
-    f = spd_factorize(omega)
-    p = mu.shape[0]
-    q = quad_form(f, np.atleast_2d(X) - mu)
+def _mahalanobis(X: np.ndarray, theta: ModelParams) -> tuple[np.ndarray, float]:
+    """q_i = (x_i - mu)' omega (x_i - mu) and log|omega|, from one factorization."""
+    f = spd_factorize(theta.omega)
+    return quad_form(f, np.atleast_2d(X) - theta.mu), f.logdet
+
+
+def _t_objective(q: np.ndarray, logdet: float, omega: np.ndarray, cfg: TlassoConfig) -> float:
+    """Mean penalized negative log-likelihood of the multivariate t with
+    shape matrix omega^{-1}, from an iterate's Mahalanobis distances and
+    log|omega|.  Monitored only: the normalized-weight EM below is not
+    guaranteed to decrease it."""
+    p, nu = omega.shape[0], cfg.nu
     const = (
         gammaln((nu + p) / 2.0)
         - gammaln(nu / 2.0)
         - (p / 2.0) * (math.log(nu) + math.log(math.pi))
-        + 0.5 * f.logdet
+        + 0.5 * logdet
     )
-    return const - ((nu + p) / 2.0) * np.log1p(q / nu)
-
-
-def _t_objective(X, mu, omega, cfg: TlassoConfig) -> float:
-    """Mean penalized t negative log-likelihood.  Monitored only: the
-    normalized-weight EM below is not guaranteed to decrease it."""
-    return float(
-        -np.mean(t_log_density(X, mu, omega, cfg.nu))
-        + 0.5 * cfg.lam * l1_offdiag(omega)
-    )
+    log_t = const - ((nu + p) / 2.0) * np.log1p(q / nu)
+    return float(-np.mean(log_t) + 0.5 * cfg.lam * l1_offdiag(omega))
 
 
 def _t_weights(q: np.ndarray, p: int, nu: float) -> np.ndarray:
@@ -94,8 +93,7 @@ def _t_weights(q: np.ndarray, p: int, nu: float) -> np.ndarray:
 def tlasso_weights(X: np.ndarray, theta: ModelParams, nu: float) -> np.ndarray:
     """Normalized EM weights u_i = u~_i / sum_j u~_j with
     u~_i = (nu + p) / (nu + (x_i - mu)' omega (x_i - mu))."""
-    f = spd_factorize(theta.omega)
-    return _t_weights(quad_form(f, np.atleast_2d(X) - theta.mu), theta.p, nu)
+    return _t_weights(_mahalanobis(X, theta)[0], theta.p, nu)
 
 
 def fit_tlasso(
@@ -107,17 +105,19 @@ def fit_tlasso(
     Stops when the max-abs change of (mu, omega) drops below
     ``cfg.tol``; hitting ``cfg.max_iter`` is a soft failure
     (``converged=False``).  The returned weights are the normalized EM
-    weights at the estimate.
+    weights at the estimate.  Each iterate is factorized once; its
+    objective and its weights share the Mahalanobis distances.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] < 2:
         raise EmptyDataset("need at least two observations")
     theta = init if init is not None else robust_init(X)
-    trace = [_t_objective(X, theta.mu, theta.omega, cfg)]
+    q, logdet = _mahalanobis(X, theta)
+    trace = [_t_objective(q, logdet, theta.omega, cfg)]
     converged = False
     iterations = 0
     for _ in range(cfg.max_iter):
-        u = tlasso_weights(X, theta, cfg.nu)
+        u = _t_weights(q, theta.p, cfg.nu)
         mu_next = u @ X
         s_u = weighted_scatter(X, mu_next, u)
         sol = glasso.solve(
@@ -128,14 +128,15 @@ def fit_tlasso(
             np.max(np.abs(sol.omega - theta.omega)),
         )
         theta = ModelParams(mu=mu_next, omega=sol.omega)
-        trace.append(_t_objective(X, theta.mu, theta.omega, cfg))
+        q, logdet = _mahalanobis(X, theta)
+        trace.append(_t_objective(q, logdet, theta.omega, cfg))
         iterations += 1
         if change < cfg.tol:
             converged = True
             break
     return FitResult(
         theta=theta,
-        weights=tlasso_weights(X, theta, cfg.nu),
+        weights=_t_weights(q, theta.p, cfg.nu),
         objective_trace=tuple(trace),
         converged=converged,
         mm_iterations=iterations,

@@ -1,10 +1,20 @@
 """Deterministic file formats for the command-line tools.
 
 CSV: comma-separated, rows are observations, optional header detected by
-a non-numeric first row; missing or malformed cells are rejected, never
-imputed.  JSON: floats rendered with 17 significant digits so that
-written artifacts round-trip exactly and repeated runs are
-byte-identical.
+a non-numeric first row; missing, malformed or non-finite cells are
+rejected, never imputed.  :func:`read_csv` first parses the numbers with
+``np.loadtxt``, which gives the same floats as Python's ``float``.  It
+keeps that result only when the parse succeeds and every value is
+finite; on a quoted cell, a ragged row, an empty or non-numeric cell, a
+number ``float`` reads but numpy does not (such as ``1_5``), ``nan`` or
+``inf``, it reads the file again cell by cell, which returns the same
+array or raises a single-line diagnostic naming the row and column.
+
+JSON: floats rendered with 17 significant digits so that written
+artifacts round-trip exactly and repeated runs are byte-identical.
+Float arrays are formatted a whole array at a time, with the bytes of
+formatting each element alone; :func:`write_csv` does so a block of
+rows at a time, so its memory stays flat in the number of rows.
 """
 
 from __future__ import annotations
@@ -13,11 +23,14 @@ import csv
 import hashlib
 import io
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InputError
+
+CSV_BLOCK_ROWS = 2048  # rows formatted at once by write_csv
 
 
 def _fmt_float(x: float) -> str:
@@ -26,6 +39,31 @@ def _fmt_float(x: float) -> str:
     if x == int(x) and abs(x) < 1e16:
         return f"{x:.1f}"
     return format(x, ".17g")
+
+
+def _fmt_floats(a: np.ndarray) -> list[str]:
+    """``[_fmt_float(x) for x in a.ravel()]`` with the same bytes and the
+    same error, formatted as one array."""
+    flat = np.asarray(a, dtype=float).ravel()
+    finite = np.isfinite(flat)
+    if not finite.all():
+        _fmt_float(float(flat[np.argmin(finite)]))  # raises on the first non-finite
+    vals = flat.tolist()
+    out = ("%.17g\n" * len(vals) % tuple(vals)).split("\n")
+    out.pop()
+    for k in np.flatnonzero((flat == np.trunc(flat)) & (np.abs(flat) < 1e16)).tolist():
+        out[k] = "%.1f" % vals[k]
+    return out
+
+
+def _nest(cells: list, shape: tuple) -> str:
+    """JSON nested lists of ``shape`` over row-major ``cells``."""
+    if len(shape) == 1:
+        return "[" + ",".join(cells) + "]"
+    step = math.prod(shape[1:])
+    return "[" + ",".join(
+        _nest(cells[i * step:(i + 1) * step], shape[1:]) for i in range(shape[0])
+    ) + "]"
 
 
 def _emit(obj, out: list) -> None:
@@ -50,6 +88,8 @@ def _emit(obj, out: list) -> None:
             out.append(":")
             _emit(v, out)
         out.append("}")
+    elif isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim:
+        out.append(_nest(_fmt_floats(obj), obj.shape))
     elif isinstance(obj, (list, tuple, np.ndarray)):
         seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
         out.append("[")
@@ -74,11 +114,15 @@ def write_json(path, obj) -> None:
 
 def write_csv(path, X: np.ndarray) -> None:
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    p = X.shape[1]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"x{j + 1}" for j in range(X.shape[1])])
-        for row in X:
-            writer.writerow([_fmt_float(float(v)) for v in row])
+        fh.write(",".join(f"x{j + 1}" for j in range(p)) + "\n")
+        for start in range(0, X.shape[0], CSV_BLOCK_ROWS):
+            block = X[start:start + CSV_BLOCK_ROWS]
+            cells = _fmt_floats(block)
+            fh.write("".join(
+                ",".join(cells[i * p:(i + 1) * p]) + "\n" for i in range(block.shape[0])
+            ))
 
 
 def _is_number(token: str) -> bool:
@@ -89,12 +133,30 @@ def _is_number(token: str) -> bool:
     return True
 
 
-def read_csv(path) -> np.ndarray:
-    """Read an observation matrix; raises InputError with a single-line
-    diagnostic on any malformed content."""
-    path = Path(path)
-    if not path.exists():
-        raise InputError(f"input file not found: {path}")
+def _read_loadtxt(path: Path) -> np.ndarray | None:
+    """The file parsed by ``np.loadtxt``, or None where only
+    :func:`_read_cells` decides: a blank or quoted first line, no data
+    rows, a row numpy cannot parse, or a non-finite value."""
+    with open(path) as fh:
+        first = fh.readline().rstrip("\n")
+        if not first or '"' in first:
+            return None
+        if all(_is_number(tok) for tok in first.split(",")):
+            fh.seek(0)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # "input contained no data"
+                data = np.loadtxt(fh, dtype=float, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            return None
+    if data.size == 0 or not np.isfinite(data).all():
+        return None
+    return data
+
+
+def _read_cells(path: Path) -> np.ndarray:
+    """The reference reader: parses the file cell by cell with ``csv``
+    and ``float``, raising InputError at the first bad row or cell."""
     with open(path, newline="") as fh:
         rows = [r for r in csv.reader(fh) if r]
     if not rows:
@@ -114,10 +176,23 @@ def read_csv(path) -> np.ndarray:
             if tok == "":
                 raise InputError(f"{path}:{i}: missing value in column {j + 1}")
             try:
-                data[i - start - 1, j] = float(tok)
+                v = float(tok)
             except ValueError:
                 raise InputError(f"{path}:{i}: bad number {tok!r} in column {j + 1}")
+            if not math.isfinite(v):
+                raise InputError(f"{path}:{i}: non-finite value {tok!r} in column {j + 1}")
+            data[i - start - 1, j] = v
     return data
+
+
+def read_csv(path) -> np.ndarray:
+    """Read an observation matrix; raises InputError with a single-line
+    diagnostic on any malformed or non-finite content."""
+    path = Path(path)
+    if not path.exists():
+        raise InputError(f"input file not found: {path}")
+    data = _read_loadtxt(path)
+    return _read_cells(path) if data is None else data
 
 
 def write_tsv(path, header: list, rows: list) -> None:

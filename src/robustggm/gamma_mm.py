@@ -33,7 +33,7 @@ from .objective import (
     ModelParams,
     RobustConfig,
     log_density,
-    penalized_gamma_objective,
+    penalized_gamma_objective_logf,
 )
 
 MAD_CONSTANT = 1.4826  # normal-consistent scaling of the median absolute deviation
@@ -149,16 +149,19 @@ def mm_step(
     cfg: RobustConfig,
     solver_tol: float = 1e-6,
     solver_max_sweeps: int = 500,
+    weights: np.ndarray | None = None,
 ) -> tuple[ModelParams, np.ndarray]:
     """One majorize-minimize step from ``theta_t``.
 
-    Weights are computed at theta_t; the location update is their
-    weighted mean; the precision update solves the graphical lasso on
-    the weighted scatter with log-determinant coefficient 1/(1+gamma),
-    warm-started at the current precision.
+    Weights are computed at theta_t (``weights``, when given, must be
+    those: :func:`fit` passes them from the log-density it already
+    holds); the location update is their weighted mean; the precision
+    update solves the graphical lasso on the weighted scatter with
+    log-determinant coefficient 1/(1+gamma), warm-started at the
+    current precision.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    w = compute_weights(X, theta_t, cfg.gamma)
+    w = compute_weights(X, theta_t, cfg.gamma) if weights is None else weights
     mu_next = w @ X
     s_w = _check_scatter(weighted_scatter(X, mu_next, w))
     problem = glasso.GlassoProblem(
@@ -184,20 +187,25 @@ def fit(
     below ``tol`` (the objective is the monotone quantity; parameter
     stagnation is not required).  Exceeding ``max_iter`` is a soft
     failure: the result is returned with ``converged=False``.
+
+    Each iterate's log-density is evaluated once; its objective, the
+    next step's weights and the returned weights all derive from it.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] < 2:
         raise EmptyDataset("need at least two observations")
     theta = init if init is not None else robust_init(X)
-    obj = penalized_gamma_objective(X, theta, cfg)
+    logf = log_density(X, theta)
+    obj = penalized_gamma_objective_logf(logf, theta.omega, cfg)
     trace = [obj]
     iterates = [theta] if keep_iterates else None
     converged = False
     iterations = 0
     for _ in range(max_iter):
-        theta, _ = mm_step(X, theta, cfg)
+        theta, _ = mm_step(X, theta, cfg, weights=exp_weights(logf, cfg.gamma))
         iterations += 1
-        new_obj = penalized_gamma_objective(X, theta, cfg)
+        logf = log_density(X, theta)
+        new_obj = penalized_gamma_objective_logf(logf, theta.omega, cfg)
         trace.append(new_obj)
         if keep_iterates:
             iterates.append(theta)
@@ -208,7 +216,7 @@ def fit(
         obj = new_obj
     return FitResult(
         theta=theta,
-        weights=compute_weights(X, theta, cfg.gamma),
+        weights=exp_weights(logf, cfg.gamma),
         objective_trace=tuple(trace),
         converged=converged,
         mm_iterations=iterations,

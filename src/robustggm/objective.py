@@ -108,6 +108,26 @@ def ell2_closed_form(omega: np.ndarray, gamma: float) -> float:
     ) / (1.0 + gamma)
 
 
+def _data_log_density(X: np.ndarray, theta: ModelParams) -> np.ndarray:
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[0] == 0:
+        raise EmptyDataset("need at least one observation")
+    return log_density(X, theta)
+
+
+def _neg_gamma_loglik_logf(logf: np.ndarray, omega: np.ndarray, gamma: float) -> float:
+    """:func:`neg_gamma_loglik` from ``logf = log_density(X, theta)`` and
+    the precision ``theta.omega``, so that a caller holding log f at an
+    iterate does not evaluate it again."""
+    if gamma < 0:
+        raise ValueError("gamma must be >= 0")
+    if gamma == 0.0:
+        return float(-np.mean(logf))
+    n = logf.shape[0]
+    ell1 = -(logsumexp(gamma * logf) - np.log(n)) / gamma
+    return float(ell1 + ell2_closed_form(omega, gamma))
+
+
 def neg_gamma_loglik(X: np.ndarray, theta: ModelParams, gamma: float) -> float:
     """Negative gamma-likelihood of the data under ``theta``.
 
@@ -118,26 +138,21 @@ def neg_gamma_loglik(X: np.ndarray, theta: ModelParams, gamma: float) -> float:
     log-likelihood (the removable-singularity limit), not a small-gamma
     evaluation.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[0] == 0:
-        raise EmptyDataset("need at least one observation")
-    logf = log_density(X, theta)
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
-    if gamma == 0.0:
-        return float(-np.mean(logf))
-    n = X.shape[0]
-    ell1 = -(logsumexp(gamma * logf) - np.log(n)) / gamma
-    return float(ell1 + ell2_closed_form(theta.omega, gamma))
+    return _neg_gamma_loglik_logf(_data_log_density(X, theta), theta.omega, gamma)
+
+
+def penalized_gamma_objective_logf(
+    logf: np.ndarray, omega: np.ndarray, cfg: RobustConfig
+) -> float:
+    """:func:`penalized_gamma_objective` from ``logf = log_density(X, theta)``."""
+    return _neg_gamma_loglik_logf(logf, omega, cfg.gamma) + 0.5 * cfg.lam * l1_offdiag(omega)
 
 
 def penalized_gamma_objective(
     X: np.ndarray, theta: ModelParams, cfg: RobustConfig
 ) -> float:
     """neg_gamma_loglik plus (lam/2) * sum_{j != k} |omega_jk|."""
-    return neg_gamma_loglik(X, theta, cfg.gamma) + 0.5 * cfg.lam * l1_offdiag(
-        theta.omega
-    )
+    return penalized_gamma_objective_logf(_data_log_density(X, theta), theta.omega, cfg)
 
 
 def dp_bconst(omega: np.ndarray, beta: float) -> float:

@@ -15,6 +15,7 @@ from robustggm import (
     npn_transform,
     solve,
 )
+from robustggm import baselines
 from robustggm.baselines import tlasso_weights
 from conftest import mixture_24, random_spd
 
@@ -203,3 +204,20 @@ def test_npn_explicit_delta_validated():
         NpnConfig(delta_n=0.7)
     with pytest.raises(ValueError):
         NpnConfig(delta_n="bogus")
+
+
+def test_tlasso_factorizes_each_iterate_once(monkeypatch):
+    X, _, _ = mixture_24(seed=33)
+    seen = []
+    real = baselines.spd_factorize
+
+    def counting(omega):
+        seen.append(np.asarray(omega).tobytes())
+        return real(omega)
+
+    monkeypatch.setattr(baselines, "spd_factorize", counting)
+    res = fit_tlasso(X, TlassoConfig(nu=1.0, lam=0.1))
+    monkeypatch.undo()
+    assert res.mm_iterations >= 2
+    assert len(seen) == len(set(seen)) == res.mm_iterations + 1
+    assert np.array_equal(res.weights, tlasso_weights(X, res.theta, 1.0))

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -136,6 +137,24 @@ def test_fit_malformed_csv_exit_1(tmp_path):
         ["fit", "--estimator", "gamma", "--lambda", "0.1",
          "--input", str(ragged), "--out", str(tmp_path / "o2"), "--quiet"]
     ) == 1
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_fit_non_finite_csv_cell_exit_1(tmp_path, capsys, cell):
+    X = np.random.default_rng(5).standard_normal((5, 3))
+    rows = [",".join(repr(v) for v in row) for row in X.tolist()]
+    rows[2] = rows[2].split(",", 1)[0] + f",{cell}," + rows[2].rsplit(",", 1)[1]
+    path = tmp_path / "nonfinite.csv"
+    path.write_text("x1,x2,x3\n" + "\n".join(rows) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(
+            ["fit", "--estimator", "gamma", "--lambda", "0.1",
+             "--input", str(path), "--out", str(tmp_path / "o"), "--quiet"]
+        )
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {path}:4: non-finite value {cell!r} in column 2\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_fit_nonconvergence_exit_2(simdir, tmp_path):

@@ -25,6 +25,7 @@ from robustggm import (
     univariate_gamma_fit,
     weighted_scatter,
 )
+from robustggm import gamma_mm, objective
 from robustggm.errors import DegenerateScatter
 from robustggm.gamma_mm import geometric_grid, warm_path
 from conftest import mixture_24, random_spd, random_theta
@@ -424,3 +425,55 @@ def test_warm_path_propagates_non_estimation_errors():
 
     with pytest.raises(ValueError):
         warm_path(np.array([1.0, 0.5]), None, fit_at)
+
+
+# --- work: one log-density per iterate --------------------------------------------
+
+def _reference_fit(X, cfg, init, tol=1e-7, max_iter=200):
+    """The MM loop over the public per-θ functions, each evaluating log f
+    afresh: the reference for fit's numbers."""
+    theta = init
+    obj = penalized_gamma_objective(X, theta, cfg)
+    trace = [obj]
+    converged = False
+    for _ in range(max_iter):
+        theta, _ = mm_step(X, theta, cfg)
+        new_obj = penalized_gamma_objective(X, theta, cfg)
+        trace.append(new_obj)
+        if abs(new_obj - obj) <= tol * max(1.0, abs(obj)):
+            converged = True
+            break
+        obj = new_obj
+    return theta, compute_weights(X, theta, cfg.gamma), tuple(trace), converged
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.1])
+def test_path_one_log_density_per_iterate_and_same_numbers(monkeypatch, gamma):
+    X, _, _ = mixture_24(seed=24)
+    seen = []  # the θ objects evaluated, kept alive so that their ids stay distinct
+
+    def counting(x, theta):
+        seen.append(theta)
+        return log_density(x, theta)
+
+    for module in (gamma_mm, objective):
+        monkeypatch.setattr(module, "log_density", counting)
+    path = solution_path(X, gamma=gamma, K=5, delta=0.2)
+    monkeypatch.undo()
+    assert all(s == "ok" for s in path.statuses)
+    # each fit evaluates its start and each of its MM iterates once; the
+    # only repeats are the warm starts handed from one point to the next
+    assert len(seen) == sum(f.mm_iterations + 1 for f in path.fits)
+    assert len(seen) - len({id(t) for t in seen}) == len(path.fits) - 1
+
+    theta = diagonal_start(X, gamma)[0]
+    for lam, res in zip(path.lambdas, path.fits):
+        ref_theta, ref_w, ref_trace, ref_conv = _reference_fit(
+            X, RobustConfig(gamma=gamma, lam=float(lam)), theta
+        )
+        assert np.array_equal(res.theta.mu, ref_theta.mu)
+        assert np.array_equal(res.theta.omega, ref_theta.omega)
+        assert np.array_equal(res.weights, ref_w)
+        assert res.objective_trace == ref_trace
+        assert res.converged == ref_conv
+        theta = ref_theta
