@@ -4,8 +4,11 @@ Each checkout runs, from its own ``src/`` and in its own directory under
 ``--work``:
 
 - ``rggm simulate --p 12 --n 300 --model ii --epsilon 0.1 --eta 5 --seed 3``
-- ``rggm fit --estimator E --lambda-grid default`` on that data, for each of
-  gamma, glasso, tlasso and npn
+- ``rggm fit --estimator E --lambda-grid default`` and
+  ``rggm fit --estimator E --lambda 0.1`` on that data, for each of gamma,
+  glasso, tlasso and npn
+- ``rggm evaluate --truth`` on each path fit, and ``rggm evaluate
+  --fit-b`` of the gamma path fit against the glasso one
 - the acceptance bench (``rggm bench`` at p=25, n=200, model ii, seed 42,
   all four estimators), with ``--replicates`` replicates
 
@@ -44,6 +47,12 @@ def commands(replicates: int | None) -> list[list[str]]:
     for est in ESTIMATORS:
         cmds.append(["fit", "--estimator", est, "--lambda-grid", "default",
                      "--input", "sim/data.csv", "--out", f"fit_{est}", "--quiet"])
+        cmds.append(["fit", "--estimator", est, "--lambda", "0.1",
+                     "--input", "sim/data.csv", "--out", f"fit1_{est}", "--quiet"])
+        cmds.append(["evaluate", "--fit", f"fit_{est}/fit.json", "--truth", "sim/truth.json",
+                     "--out", f"eval_{est}", "--quiet"])
+    cmds.append(["evaluate", "--fit", "fit_gamma/fit.json", "--fit-b", "fit_glasso/fit.json",
+                 "--out", "eval_b", "--quiet"])
     if replicates is not None:
         cmds.append(BENCH + ["--replicates", str(replicates)])
     return cmds
@@ -52,7 +61,9 @@ def commands(replicates: int | None) -> list[list[str]]:
 def artifacts(replicates: int | None) -> list[str]:
     names = ["sim/data.csv", "sim/truth.json"]
     for est in ESTIMATORS:
-        names += [f"fit_{est}/fit.json", f"fit_{est}/path.tsv"]
+        names += [f"fit_{est}/fit.json", f"fit_{est}/path.tsv", f"fit1_{est}/fit.json",
+                  f"eval_{est}/metrics.json"]
+    names.append("eval_b/metrics.json")
     if replicates is not None:
         names += ["bench/bench.json", "bench/roc_mean.tsv", "bench/mse_summary.tsv"]
     return names

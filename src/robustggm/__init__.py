@@ -21,7 +21,6 @@ from .errors import (
     DegenerateScatter,
     DimensionMismatch,
     EmptyDataset,
-    EmptyTruth,
     InputError,
     MaxSweepsExceeded,
     NonPositiveDiagonal,
@@ -44,15 +43,14 @@ from .gamma_mm import (
     weighted_scatter,
 )
 from .glasso import GlassoProblem, GlassoSolution, glasso_objective, kkt_residual, reduce_to_standard, solve
-from .matcore import SpdFactor, inv_spd, quad_form, soft_threshold, spd_factorize, symmetrize
+from .matcore import SpdFactor, inv_spd, quad_form, spd_factorize, symmetrize
 from .metrics import (
     EdgeSet,
-    RocCurve,
     common_edges,
     edge_set,
     mse_offdiag,
     normalize,
-    roc_points,
+    score_point,
     total_agreement,
 )
 from .objective import (

@@ -23,17 +23,18 @@ from .gamma_mm import (
     robust_init, warm_path, weighted_scatter,
 )
 from .matcore import quad_form, spd_factorize
-from .objective import ModelParams, RobustConfig, l1_offdiag
+from .objective import ModelParams, l1_offdiag
+
+TLASSO_TOL = 1e-6  # EM stops once no entry of (mu, omega) moves by this much
 
 
 @dataclass(frozen=True)
 class TlassoConfig:
-    """Degrees of freedom, penalty weight, and stopping rule for the
+    """Degrees of freedom, penalty weight, and EM step budget for the
     penalized multivariate-t EM."""
 
     nu: float
     lam: float
-    tol: float = 1e-6
     max_iter: int = 200
 
     def __post_init__(self):
@@ -103,7 +104,7 @@ def fit_tlasso(
     M-step on the weighted scatter of the normalized weights.
 
     Stops when the max-abs change of (mu, omega) drops below
-    ``cfg.tol``; hitting ``cfg.max_iter`` is a soft failure
+    :data:`TLASSO_TOL`; hitting ``cfg.max_iter`` is a soft failure
     (``converged=False``).  The returned weights are the normalized EM
     weights at the estimate.  Each iterate is factorized once; its
     objective and its weights share the Mahalanobis distances.
@@ -131,7 +132,7 @@ def fit_tlasso(
         q, logdet = _mahalanobis(X, theta)
         trace.append(_t_objective(q, logdet, theta.omega, cfg))
         iterations += 1
-        if change < cfg.tol:
+        if change < TLASSO_TOL:
             converged = True
             break
     return FitResult(
@@ -140,7 +141,6 @@ def fit_tlasso(
         objective_trace=tuple(trace),
         converged=converged,
         mm_iterations=iterations,
-        config=RobustConfig(gamma=0.0, lam=cfg.lam),
     )
 
 
@@ -227,7 +227,7 @@ def _npn_solve(mu, s, n: int, lam: float, start: ModelParams | None = None) -> F
     return FitResult(
         theta=ModelParams(mu=mu, omega=sol.omega), weights=np.full(n, 1.0 / n),
         objective_trace=(glasso.glasso_objective(sol.omega, problem),), converged=True,
-        mm_iterations=sol.iterations, config=RobustConfig(gamma=0.0, lam=lam),
+        mm_iterations=sol.iterations,
     )
 
 

@@ -1,11 +1,16 @@
-"""Command-line interface: data simulation, estimator dispatch, metric
-evaluation, and replicated benchmarks.
+"""Command-line interface of the `rggm` tool: flags, reading and writing.
+
+`simulate` writes a benchmark dataset, `fit` one estimator's fit or
+path, `evaluate` a fit's scores against a truth or another fit, and
+`bench` the replicated study; the estimators and the study itself live
+in :mod:`robustggm.study`.
 
 Every command is deterministic given its flags and seed, and every
 output carries a config echo sufficient to reproduce it.  Exit codes:
-0 success, 1 input/config error, 2 soft estimation failure (results are
-still written).  The environment variable ``RGGM_THREADS`` caps the
-worker processes `bench` fans replicates across.
+0 success, 1 input/config error (flags are checked before anything is
+written), 2 soft estimation failure (results are still written).  The
+environment variable ``RGGM_THREADS`` caps the worker processes `bench`
+fans replicates across.
 """
 
 from __future__ import annotations
@@ -18,12 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines, fileio, gamma_mm, metrics, simgen
+from . import baselines, fileio, metrics, simgen, study
 from .errors import InputError, RobustGgmError
 from .gamma_mm import FitResult
 from .objective import RobustConfig
-
-ESTIMATORS = ("gamma", "glasso", "tlasso", "npn")
 
 
 def _progress(args, msg: str) -> None:
@@ -44,40 +47,38 @@ def _parse_grid(text: str) -> tuple[int, float]:
     return k, d
 
 
-# --- estimator dispatch ----------------------------------------------------
-
-def fit_single(estimator, X, *, gamma, lam, nu, delta_n, tol, max_iter) -> FitResult:
-    if estimator in ("gamma", "glasso"):
-        g = gamma if estimator == "gamma" else 0.0
-        return gamma_mm.fit(
-            X, RobustConfig(gamma=g, lam=lam), tol=tol, max_iter=max_iter
-        )
-    if estimator == "tlasso":
-        return baselines.fit_tlasso(
-            X, baselines.TlassoConfig(nu=nu, lam=lam, max_iter=max_iter)
-        )
-    if estimator == "npn":
-        return baselines.fit_nonparanormal(
-            X, baselines.NpnConfig(delta_n=delta_n, lam=lam)
-        )
-    raise InputError(f"unknown estimator {estimator!r}")
+def _parse_delta_n(text: str) -> float | str:
+    try:
+        return text if text == "auto" else float(text)
+    except ValueError:
+        raise InputError(f"bad --delta-n {text!r}; use 'auto' or a number")
 
 
-def fit_path(estimator, X, *, gamma, nu, delta_n, K, delta, tol, max_iter):
-    """Warm-started decreasing-penalty path for any estimator, on the
-    geometric grid below the estimator's own lambda_max (each path
-    function documents its anchor).  Returns (lambdas, fits, statuses).
-    """
-    if estimator in ("gamma", "glasso"):
-        g = gamma if estimator == "gamma" else 0.0
-        path = gamma_mm.solution_path(X, g, K=K, delta=delta, tol=tol, max_iter=max_iter)
-    elif estimator == "tlasso":
-        path = baselines.tlasso_path(X, nu, K=K, delta=delta, max_iter=max_iter)
-    elif estimator == "npn":
-        path = baselines.npn_path(X, baselines.NpnConfig(delta_n=delta_n), K=K, delta=delta)
-    else:
-        raise InputError(f"unknown estimator {estimator!r}")
-    return path.lambdas, list(path.fits), list(path.statuses)
+def _sim_spec(args, seed: int) -> simgen.SimSpec:
+    return simgen.SimSpec(
+        p=args.p, n=args.n, model=args.model, epsilon=args.epsilon,
+        eta=args.eta, ba_m=args.m, seed=seed,
+    )
+
+
+def _check_flags(args) -> None:
+    """Build every config the command's flags describe before any work,
+    so that an out-of-range value exits 1 with the config's own message
+    and nothing is written."""
+    if args.command == "evaluate" and not (args.truth or args.fit_b):
+        raise InputError("provide --truth and/or --fit-b")
+    try:
+        if args.command in ("simulate", "bench"):
+            _sim_spec(args, args.seed)
+        if args.command in ("fit", "bench"):
+            lam = getattr(args, "lam", None) or 0.0
+            RobustConfig(gamma=args.gamma, lam=lam)
+            baselines.TlassoConfig(nu=args.nu, lam=lam)
+            baselines.NpnConfig(delta_n=_parse_delta_n(getattr(args, "delta_n", "auto")))
+            if not args.tol > 0 or args.max_iter < 1:
+                raise ValueError("need --tol > 0 and --max-iter >= 1")
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
 
 
 # --- artifact serialization ------------------------------------------------
@@ -137,10 +138,7 @@ def _write_fit_artifacts(outdir: Path, config: dict, lambdas, fits, statuses, gr
 # --- subcommands -----------------------------------------------------------
 
 def run_simulate(args) -> int:
-    spec = simgen.SimSpec(
-        p=args.p, n=args.n, model=args.model, epsilon=args.epsilon,
-        eta=args.eta, ba_m=args.m, seed=args.seed,
-    )
+    spec = _sim_spec(args, args.seed)
     X, labels, truth = simgen.generate(spec)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -167,8 +165,9 @@ def run_fit(args) -> int:
     X = fileio.read_csv(args.input)
     if args.normalize != "none":
         X = metrics.normalize(X, args.normalize)
-    if args.gamma < 0 or args.nu <= 0:
-        raise InputError("gamma must be >= 0 and nu > 0")
+    grid = args.lambda_grid is not None
+    if grid:
+        K, delta = _parse_grid(args.lambda_grid)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     config = {
@@ -177,38 +176,26 @@ def run_fit(args) -> int:
         "delta_n": args.delta_n, "seed": args.seed, "tol": args.tol,
         "max_iter": args.max_iter,
     }
-    delta_n = args.delta_n if args.delta_n == "auto" else float(args.delta_n)
-    soft_failure = False
-    if args.lambda_grid is not None:
-        K, delta = _parse_grid(args.lambda_grid)
+    kw = dict(
+        gamma=args.gamma, nu=args.nu, delta_n=_parse_delta_n(args.delta_n),
+        tol=args.tol, max_iter=args.max_iter,
+    )
+    if grid:
         config["lambda_grid"] = {"K": K, "delta": delta}
-        lambdas, fits, statuses = fit_path(
-            args.estimator, X, gamma=args.gamma, nu=args.nu, delta_n=delta_n,
-            K=K, delta=delta, tol=args.tol, max_iter=args.max_iter,
-        )
+        path = study.fit_path(args.estimator, X, K=K, delta=delta, **kw)
+        lambdas, fits, statuses = path.lambdas, path.fits, path.statuses
         config["lambdas"] = [float(v) for v in lambdas]
-        _write_fit_artifacts(outdir, config, lambdas, fits, statuses, grid=True)
-        soft_failure = any(s != "ok" for s in statuses)
     else:
-        if args.lam is None:
-            raise InputError("provide --lambda or --lambda-grid")
-        if args.lam < 0:
-            raise InputError("lambda must be >= 0")
         config["lambda"] = args.lam
         try:
-            res = fit_single(
-                args.estimator, X, gamma=args.gamma, lam=args.lam, nu=args.nu,
-                delta_n=delta_n, tol=args.tol, max_iter=args.max_iter,
-            )
+            res = study.fit_single(args.estimator, X, lam=args.lam, **kw)
             status = "ok" if res.converged else "max_iter"
         except RobustGgmError as exc:
             res, status = None, f"error: {exc}"
-        _write_fit_artifacts(
-            outdir, config, [args.lam], [res], [status], grid=False
-        )
-        soft_failure = status != "ok"
+        lambdas, fits, statuses = [args.lam], [res], [status]
+    _write_fit_artifacts(outdir, config, lambdas, fits, statuses, grid)
     _progress(args, f"wrote {outdir / 'fit.json'}")
-    return 2 if soft_failure else 0
+    return 2 if any(s != "ok" for s in statuses) else 0
 
 
 def _load_fit(path) -> dict:
@@ -249,12 +236,7 @@ def run_evaluate(args) -> int:
                 )
             est = _edges_from_lists(p, rec["edges"])
             per_lambda.append(
-                {
-                    "lambda": rec["lambda"],
-                    "nnz": rec["nnz"],
-                    "tpr": metrics.true_positive_rate(est, truth_edges),
-                    "mse_offdiag": metrics.mse_offdiag(omega, truth_omega),
-                }
+                {"lambda": rec["lambda"], **metrics.score_point(est, omega, truth_edges, truth_omega)}
             )
         report["per_lambda"] = per_lambda
     if args.fit_b:
@@ -270,111 +252,12 @@ def run_evaluate(args) -> int:
         b = _edges_from_lists(p_b, doc_b["edges"])
         report["total_agreement"] = metrics.total_agreement(a, b)
         report["common_edges"] = metrics.common_edges(a, b)
-    if "per_lambda" not in report and "total_agreement" not in report:
-        raise InputError("provide --truth and/or --fit-b")
     fileio.write_json(outdir / "metrics.json", report)
     _progress(args, f"wrote {outdir / 'metrics.json'}")
     return 0
 
 
 # --- bench -----------------------------------------------------------------
-
-def _bench_replicate(task: dict) -> dict:
-    """One replicate: simulate, fit every estimator on the same data,
-    evaluate against the truth.  Pure function of the task dict."""
-    spec = simgen.SimSpec(**task["spec"])
-    X, labels, truth = simgen.generate(spec)
-    if task["normalize"] != "none":
-        X = metrics.normalize(X, task["normalize"])
-    truth_edges = truth.adjacency
-    out = {"replicate": task["replicate"], "seed": spec.seed, "estimators": {}}
-    for est in task["estimators"]:
-        try:
-            lambdas, fits, statuses = fit_path(
-                est, X, gamma=task["gamma"], nu=task["nu"], delta_n="auto",
-                K=task["K"], delta=task["delta"], tol=task["tol"],
-                max_iter=task["max_iter"],
-            )
-        except RobustGgmError as exc:
-            out["estimators"][est] = {"error": str(exc), "points": []}
-            continue
-        points = []
-        for lam, res, status in zip(lambdas, fits, statuses):
-            if res is None:
-                points.append({"lambda": float(lam), "status": status})
-                continue
-            e = metrics.edge_set(res.theta.omega)
-            points.append(
-                {
-                    "lambda": float(lam),
-                    "status": status,
-                    "nnz": 2 * len(e),
-                    "tpr": metrics.true_positive_rate(e, truth_edges),
-                    "mse_offdiag": metrics.mse_offdiag(res.theta.omega, truth.omega),
-                }
-            )
-        out["estimators"][est] = {"points": points}
-    return out
-
-
-def step_mean_curves(results: list, estimators: list) -> tuple[list, dict]:
-    """Carry-forward interpolation of per-replicate (nnz, tpr) curves
-    onto the union grid of observed nnz values, then the mean over
-    replicates per estimator.  Returns (grid, {estimator: mean tprs})."""
-    grid = sorted(
-        {
-            pt["nnz"]
-            for rep in results
-            for est in estimators
-            for pt in rep["estimators"][est]["points"]
-            if "nnz" in pt
-        }
-    )
-    means = {}
-    for est in estimators:
-        curves = []
-        for rep in results:
-            pts = sorted(
-                (pt["nnz"], pt["tpr"])
-                for pt in rep["estimators"][est]["points"]
-                if "nnz" in pt
-            )
-            best = {}
-            for nnz, tpr in pts:
-                best[nnz] = max(best.get(nnz, 0.0), tpr)
-            xs = sorted(best)
-            curve = []
-            for g in grid:
-                level = 0.0
-                for x in xs:
-                    if x <= g:
-                        level = best[x]
-                    else:
-                        break
-                curve.append(level)
-            curves.append(curve)
-        means[est] = (
-            np.mean(np.asarray(curves), axis=0).tolist() if curves else []
-        )
-    return grid, means
-
-
-def min_mse_table(results: list, estimators: list) -> list:
-    """Per replicate, each estimator's smallest off-diagonal MSE over
-    its path; ``"NA"`` where the estimator fitted no point."""
-    rows = []
-    for rep in results:
-        row = [rep["replicate"]]
-        for est in estimators:
-            vals = [
-                pt["mse_offdiag"]
-                for pt in rep["estimators"][est]["points"]
-                if "mse_offdiag" in pt
-            ]
-            row.append(min(vals) if vals else "NA")
-        rows.append(row)
-    return rows
-
 
 def _bench_workers() -> int:
     """Worker processes for `bench` from ``RGGM_THREADS``: a positive
@@ -393,7 +276,7 @@ def run_bench(args) -> int:
     workers = _bench_workers()
     estimators = [e.strip() for e in args.estimators.split(",") if e.strip()]
     for est in estimators:
-        if est not in ESTIMATORS:
+        if est not in study.ESTIMATORS:
             raise InputError(f"unknown estimator {est!r}")
     if args.replicates < 1:
         raise InputError("need at least one replicate")
@@ -403,11 +286,7 @@ def run_bench(args) -> int:
         tasks.append(
             {
                 "replicate": r,
-                "spec": {
-                    "p": args.p, "n": args.n, "model": args.model,
-                    "epsilon": args.epsilon, "eta": args.eta, "ba_m": args.m,
-                    "seed": simgen.replicate_seed(args.seed, r),
-                },
+                "spec": _sim_spec(args, simgen.replicate_seed(args.seed, r)),
                 "estimators": estimators,
                 "gamma": args.gamma, "nu": args.nu, "K": K, "delta": delta,
                 "tol": args.tol, "max_iter": args.max_iter,
@@ -418,16 +297,16 @@ def run_bench(args) -> int:
     if workers == 1:
         results = []
         for t in tasks:
-            results.append(_bench_replicate(t))
+            results.append(study.bench_replicate(t))
             _progress(args, f"replicate {t['replicate'] + 1}/{len(tasks)} done")
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_bench_replicate, tasks))
+            results = list(pool.map(study.bench_replicate, tasks))
         _progress(args, f"{len(tasks)} replicates done on {workers} workers")
     results.sort(key=lambda r: r["replicate"])
 
-    grid, means = step_mean_curves(results, estimators)
-    mse_rows = min_mse_table(results, estimators)
+    grid, means = study.step_mean_curves(results, estimators)
+    mse_rows = study.min_mse_table(results, estimators)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     config = {
@@ -497,12 +376,13 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=run_simulate)
 
     fit = sub.add_parser("fit", help="fit one estimator to a CSV dataset")
-    fit.add_argument("--estimator", choices=ESTIMATORS, required=True)
+    fit.add_argument("--estimator", choices=study.ESTIMATORS, required=True)
     fit.add_argument("--input", required=True)
     fit.add_argument("--out", required=True)
     fit.add_argument("--gamma", type=float, default=0.1)
-    fit.add_argument("--lambda", dest="lam", type=float, default=None)
-    fit.add_argument("--lambda-grid", default=None, help="'default' or 'K,DELTA'")
+    lam = fit.add_mutually_exclusive_group(required=True)
+    lam.add_argument("--lambda", dest="lam", type=float)
+    lam.add_argument("--lambda-grid", help="'default' or 'K,DELTA'")
     fit.add_argument("--nu", type=float, default=1.0)
     fit.add_argument("--delta-n", default="auto")
     fit.add_argument("--normalize", choices=("none", "sd", "mad"), default="none")
@@ -552,6 +432,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse errors are input errors
         return 1 if exc.code not in (0, None) else 0
     try:
+        _check_flags(args)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

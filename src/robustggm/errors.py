@@ -56,10 +56,6 @@ class DegenerateColumn(RobustGgmError):
     normalization)."""
 
 
-class EmptyTruth(RobustGgmError):
-    """The reference edge set is empty, so rates against it are undefined."""
-
-
 class SupportCollision(RobustGgmError):
     """Generated precision entries on the requested support cancelled to
     (near) zero and could not be resampled away."""

@@ -62,7 +62,6 @@ class FitResult:
     objective_trace: tuple
     converged: bool
     mm_iterations: int
-    config: RobustConfig
     iterates: tuple | None = None
 
 
@@ -71,12 +70,11 @@ class SolutionPath:
     """Warm-started fits over a decreasing geometric penalty grid.
 
     ``statuses[k]`` is "ok", "max_iter", or "error: ..." per grid point;
-    failed points hold None in ``fits``.  tlasso and npn paths echo gamma 0.
+    failed points hold None in ``fits``.
     """
 
     lambdas: np.ndarray
     fits: tuple
-    gamma: float
     statuses: tuple
 
 
@@ -147,8 +145,6 @@ def mm_step(
     X: np.ndarray,
     theta_t: ModelParams,
     cfg: RobustConfig,
-    solver_tol: float = 1e-6,
-    solver_max_sweeps: int = 500,
     weights: np.ndarray | None = None,
 ) -> tuple[ModelParams, np.ndarray]:
     """One majorize-minimize step from ``theta_t``.
@@ -158,7 +154,7 @@ def mm_step(
     holds); the location update is their weighted mean; the precision
     update solves the graphical lasso on the weighted scatter with
     log-determinant coefficient 1/(1+gamma), warm-started at the
-    current precision.
+    current precision, to :func:`glasso.solve`'s default tolerance.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     w = compute_weights(X, theta_t, cfg.gamma) if weights is None else weights
@@ -167,9 +163,7 @@ def mm_step(
     problem = glasso.GlassoProblem(
         s=s_w, lam=cfg.lam, logdet_scale=1.0 / (1.0 + cfg.gamma)
     )
-    sol = glasso.solve(
-        problem, init=theta_t.omega, tol=solver_tol, max_sweeps=solver_max_sweeps
-    )
+    sol = glasso.solve(problem, init=theta_t.omega)
     return ModelParams(mu=mu_next, omega=sol.omega), w
 
 
@@ -220,7 +214,6 @@ def fit(
         objective_trace=tuple(trace),
         converged=converged,
         mm_iterations=iterations,
-        config=cfg,
         iterates=tuple(iterates) if keep_iterates else None,
     )
 
@@ -330,7 +323,7 @@ def geometric_grid(lam1: float, K: int, delta: float) -> np.ndarray:
 
 
 def warm_path(
-    lambdas: np.ndarray, theta0: ModelParams | None, fit_at, gamma: float = 0.0
+    lambdas: np.ndarray, theta0: ModelParams | None, fit_at
 ) -> SolutionPath:
     """Run ``fit_at(lam, start)`` down the grid from ``theta0``, each
     point starting at the last successful estimate.  A RobustGgmError
@@ -348,7 +341,7 @@ def warm_path(
         fits.append(res)
         statuses.append("ok" if res.converged else "max_iter")
         theta = res.theta
-    return SolutionPath(lambdas=lambdas, fits=tuple(fits), gamma=gamma, statuses=tuple(statuses))
+    return SolutionPath(lambdas=lambdas, fits=tuple(fits), statuses=tuple(statuses))
 
 
 def solution_path(
@@ -372,5 +365,4 @@ def solution_path(
         lambda lam, theta: fit(
             X, RobustConfig(gamma=gamma, lam=lam), init=theta, tol=tol, max_iter=max_iter
         ),
-        gamma,
     )

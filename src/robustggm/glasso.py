@@ -68,7 +68,6 @@ class GlassoProblem:
 @dataclass(frozen=True)
 class GlassoSolution:
     omega: np.ndarray
-    sigma: np.ndarray
     iterations: int
     kkt_residual: float
     objective_trace: tuple | None = None
@@ -241,7 +240,7 @@ def solve(
     if n == 1:
         omega = np.array([[1.0 / S[0, 0]]])
         trace = (glasso_objective(omega, p),) if record_trace else None
-        return GlassoSolution(omega, np.array([[S[0, 0]]]), 1, 0.0, trace)
+        return GlassoSolution(omega, 1, 0.0, trace)
 
     off = ~np.eye(n, dtype=bool)
     thr = tol * float(np.mean(np.abs(S[off])))
@@ -286,7 +285,6 @@ def solve(
             if res < kkt_tol:
                 return GlassoSolution(
                     omega=symmetrize(omega),
-                    sigma=inv_spd(omega),
                     iterations=sweeps,
                     kkt_residual=res,
                     objective_trace=tuple(trace) if record_trace else None,

@@ -106,9 +106,3 @@ def quad_form(f: SpdFactor, v: np.ndarray) -> float | np.ndarray:
     q = np.einsum("ij,ij->i", half, half)
     return float(q[0]) if single else q
 
-
-def soft_threshold(x, t):
-    """Soft-thresholding sign(x) * max(|x| - t, 0); t must be >= 0."""
-    if np.any(np.asarray(t) < 0):
-        raise ValueError("threshold must be nonnegative")
-    return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateColumn, DimensionMismatch, EmptyTruth
+from .errors import DegenerateColumn, DimensionMismatch
 from .gamma_mm import MAD_CONSTANT
 from .matcore import require_symmetric
 
@@ -34,14 +34,6 @@ class EdgeSet:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
-class RocCurve:
-    """(nonzero off-diagonal count, true positive rate) pairs sorted by
-    the count; counts tally both triangles, i.e. 2x the edge count."""
-
-    points: tuple
-
-
 def edge_set(omega: np.ndarray, zero_tol: float = 1e-8) -> EdgeSet:
     """Off-diagonal support of a symmetric matrix.
 
@@ -62,26 +54,6 @@ def true_positive_rate(est: EdgeSet, truth: EdgeSet) -> float:
     return len(est.edges & truth.edges) / len(truth) if len(truth) else 0.0
 
 
-def roc_points(path, truth: EdgeSet) -> RocCurve:
-    """Per-path-point (nonzero count, TPR) against the true support.
-
-    Failed path points (fits[k] is None) are skipped.  The count axis is
-    the number of nonzero non-diagonal entries = 2 |estimated edges|.
-    """
-    if len(truth) == 0:
-        raise EmptyTruth("true edge set is empty")
-    pts = []
-    for res in path.fits:
-        if res is None:
-            continue
-        est = edge_set(res.theta.omega)
-        if est.p != truth.p:
-            raise DimensionMismatch(f"estimate p={est.p} vs truth p={truth.p}")
-        pts.append((2 * len(est), true_positive_rate(est, truth)))
-    pts.sort(key=lambda t: (t[0], t[1]))
-    return RocCurve(points=tuple(pts))
-
-
 def mse_offdiag(est: np.ndarray, truth: np.ndarray) -> float:
     """Mean squared error over the off-diagonal entries,
     sum_{i != j} (est_ij - truth_ij)^2 / (p (p - 1))."""
@@ -92,6 +64,17 @@ def mse_offdiag(est: np.ndarray, truth: np.ndarray) -> float:
     p = est.shape[0]
     off = ~np.eye(p, dtype=bool)
     return float(np.sum((est[off] - truth[off]) ** 2) / (p * (p - 1)))
+
+
+def score_point(est: EdgeSet, omega: np.ndarray, truth: EdgeSet, truth_omega: np.ndarray) -> dict:
+    """One path point against the truth: its nonzero off-diagonal count
+    ``nnz`` (both triangles, 2 |est|), the true positive rate of its
+    support ``est`` and the off-diagonal MSE of its precision ``omega``."""
+    return {
+        "nnz": 2 * len(est),
+        "tpr": true_positive_rate(est, truth),
+        "mse_offdiag": mse_offdiag(omega, truth_omega),
+    }
 
 
 def total_agreement(a: EdgeSet, b: EdgeSet) -> float:

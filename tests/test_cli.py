@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from robustggm import baselines, cli, glasso
+from robustggm import baselines, cli, glasso, study
 from robustggm.errors import DegenerateScatter, MaxSweepsExceeded
 from robustggm.fileio import read_csv, write_csv
 from robustggm.metrics import edge_set
@@ -205,6 +205,46 @@ def test_fit_missing_lambda_exit_1(simdir, tmp_path):
     assert code == 1
 
 
+def test_fit_lambda_and_lambda_grid_exclusive_exit_1(simdir, tmp_path):
+    code = run(
+        ["fit", "--estimator", "gamma", "--lambda", "0.1", "--lambda-grid", "default",
+         "--input", str(simdir / "data.csv"), "--out", str(tmp_path / "o"), "--quiet"]
+    )
+    assert code == 1
+    assert not (tmp_path / "o").exists()
+
+
+SIM_FLAGS = ["--p", "4", "--n", "30", "--model", "i"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--estimator", "gamma", "--delta-n", "abc"],
+    ["fit", "--estimator", "npn", "--delta-n", "0.7"],
+    ["fit", "--estimator", "gamma", "--tol", "-1"],
+    ["fit", "--estimator", "gamma", "--max-iter", "-3"],
+    ["fit", "--estimator", "gamma", "--gamma", "-1"],
+    ["fit", "--estimator", "tlasso", "--nu", "0"],
+    ["bench", *SIM_FLAGS, "--gamma", "-1"],
+    ["bench", *SIM_FLAGS, "--nu", "0"],
+    ["simulate", *SIM_FLAGS, "--epsilon", "2"],
+    ["simulate", "--p", "1", "--n", "30", "--model", "i"],
+    ["simulate", "--p", "4", "--n", "0", "--model", "i"],
+    ["simulate", *SIM_FLAGS, "--m", "0"],
+    ["evaluate", "--fit", "truth.json"],
+], ids=" ".join)
+def test_bad_flag_exit_1_one_error_line(simdir, tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setenv("RGGM_THREADS", "1")
+    if argv[0] == "fit":
+        argv = argv + ["--lambda", "0.1", "--input", str(simdir / "data.csv")]
+    if argv[0] == "evaluate":  # no --truth or --fit-b
+        argv = ["evaluate", "--fit", str(simdir / "truth.json")]
+    code = run(argv + ["--out", str(tmp_path / "o"), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert not (tmp_path / "o").exists()
+
+
 def test_evaluate_perfect_fixture_and_recount(simdir, tmp_path):
     fitdir = tmp_path / "fit"
     assert run(
@@ -317,14 +357,14 @@ def test_csv_roundtrip_17_digits(tmp_path):
 
 
 def test_bench_failed_estimator_exit_2_with_all_artifacts(tmp_path, monkeypatch):
-    real_fit_path = cli.fit_path
+    real_fit_path = study.fit_path
 
     def fit_path(estimator, X, **kw):
         if estimator == "npn":
             raise DegenerateScatter("forced failure")
         return real_fit_path(estimator, X, **kw)
 
-    monkeypatch.setattr(cli, "fit_path", fit_path)
+    monkeypatch.setattr(study, "fit_path", fit_path)
     monkeypatch.setenv("RGGM_THREADS", "1")
     out = tmp_path / "bench"
     code = run(
@@ -372,15 +412,15 @@ def test_bench_workers_threads_env_unset_uses_all_cpus(monkeypatch):
 PATH_KW = dict(gamma=0.1, nu=1.0, delta_n="auto", K=10, delta=0.2, tol=1e-7, max_iter=200)
 
 
-@pytest.mark.parametrize("estimator", cli.ESTIMATORS)
+@pytest.mark.parametrize("estimator", study.ESTIMATORS)
 def test_fit_path_shape(estimator):
     X, _, _ = mixture_24(seed=22)
-    lambdas, fits, statuses = cli.fit_path(estimator, X, **PATH_KW)
-    assert len(lambdas) == len(fits) == len(statuses) == 10
-    assert all(s == "ok" for s in statuses)
-    assert len(edge_set(fits[0].theta.omega)) == 0
-    assert np.all(np.diff(lambdas) < 0)
-    assert lambdas[-1] == 0.2 * lambdas[0]
+    path = study.fit_path(estimator, X, **PATH_KW)
+    assert len(path.lambdas) == len(path.fits) == len(path.statuses) == 10
+    assert all(s == "ok" for s in path.statuses)
+    assert len(edge_set(path.fits[0].theta.omega)) == 0
+    assert np.all(np.diff(path.lambdas) < 0)
+    assert path.lambdas[-1] == 0.2 * path.lambdas[0]
 
 
 def test_npn_path_transforms_once_and_starts_cold(monkeypatch):
@@ -393,8 +433,8 @@ def test_npn_path_transforms_once_and_starts_cold(monkeypatch):
         return orig(*args, **kw)
 
     monkeypatch.setattr(baselines, "npn_transform", counting)
-    lambdas, fits, _ = cli.fit_path("npn", X, **PATH_KW)
+    path = study.fit_path("npn", X, **PATH_KW)
     assert len(calls) == 1
-    first = baselines.fit_nonparanormal(X, baselines.NpnConfig(lam=float(lambdas[0])))
-    assert np.array_equal(fits[0].theta.mu, first.theta.mu)
-    assert np.array_equal(fits[0].theta.omega, first.theta.omega)
+    first = baselines.fit_nonparanormal(X, baselines.NpnConfig(lam=float(path.lambdas[0])))
+    assert np.array_equal(path.fits[0].theta.mu, first.theta.mu)
+    assert np.array_equal(path.fits[0].theta.omega, first.theta.omega)

@@ -40,7 +40,8 @@ def csv_texts(draw):
     cells = [[_cell(draw(finite), draw(st.integers(0, 5))) for _ in range(p)] for _ in range(n)]
     defects = draw(st.lists(st.sampled_from(DEFECTS), max_size=2))
     i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, p - 1))
-    for d in defects:
+    # cell defects first: a row-shape defect may shorten row i below j + 1
+    for d in sorted(defects, key=lambda d: d in ("ragged row", "trailing comma")):
         if d == "empty cell":
             cells[i][j] = draw(st.sampled_from(["", " "]))
         elif d == "ragged row":

@@ -104,7 +104,6 @@ def test_solution_invariants():
         sol = solve(prob)
         assert sol.kkt_residual < 1e-6
         assert np.array_equal(sol.omega, sol.omega.T)
-        assert np.max(np.abs(sol.omega @ sol.sigma - np.eye(p))) < 1e-6
 
 
 def test_objective_trace_monotone():

@@ -5,7 +5,6 @@ from robustggm import (
     DimensionMismatch,
     NotPositiveDefinite,
     quad_form,
-    soft_threshold,
     spd_factorize,
     symmetrize,
 )
@@ -125,26 +124,6 @@ def test_quad_form_batched_rows():
     batched = quad_form(f, V)
     for i in range(6):
         assert batched[i] == pytest.approx(quad_form(f, V[i]), rel=1e-13)
-
-
-def test_soft_threshold_examples():
-    assert soft_threshold(0.5, 0.2) == pytest.approx(0.3)
-    assert soft_threshold(-0.1, 0.2) == 0.0
-    for x in (-2.0, -0.3, 0.0, 0.7, 5.0):
-        assert soft_threshold(x, 0.0) == x
-
-
-def test_soft_threshold_is_odd():
-    rng = np.random.default_rng(6)
-    for _ in range(200):
-        x = float(rng.standard_normal() * 3)
-        t = float(rng.uniform(0, 2))
-        assert soft_threshold(-x, t) == -soft_threshold(x, t)
-
-
-def test_soft_threshold_rejects_negative_threshold():
-    with pytest.raises(ValueError):
-        soft_threshold(1.0, -0.1)
 
 
 def test_symmetrize_exact():

@@ -5,12 +5,11 @@ from robustggm import (
     DegenerateColumn,
     DimensionMismatch,
     EdgeSet,
-    EmptyTruth,
     common_edges,
     edge_set,
     mse_offdiag,
     normalize,
-    roc_points,
+    score_point,
     total_agreement,
 )
 from robustggm.metrics import true_positive_rate
@@ -47,19 +46,7 @@ def test_edge_set_zero_tolerance_guards_dust():
     assert edge_set(om).edges == {(1, 3)}
 
 
-# --- roc ------------------------------------------------------------------------
-
-class _FakeFit:
-    def __init__(self, omega):
-        from robustggm import ModelParams
-
-        self.theta = ModelParams(mu=np.zeros(omega.shape[0]), omega=omega)
-
-
-class _FakePath:
-    def __init__(self, omegas):
-        self.fits = [None if o is None else _FakeFit(o) for o in omegas]
-
+# --- score_point: a path point's ROC coordinates (nnz, tpr) and MSE -----------
 
 def _om(p, pairs, val=0.3):
     om = np.eye(p)
@@ -68,52 +55,48 @@ def _om(p, pairs, val=0.3):
     return om
 
 
+def _roc(omega, truth):
+    s = score_point(edge_set(omega), omega, truth, _om(truth.p, truth.edges))
+    return s["nnz"], s["tpr"]
+
+
 def test_roc_perfect_recovery_point():
     truth = make_edges(5, {(1, 2), (1, 3), (2, 5), (3, 4)})
-    path = _FakePath([_om(5, truth.edges)])
-    curve = roc_points(path, truth)
-    assert curve.points == ((8, 1.0),)
+    om = _om(5, truth.edges)
+    assert _roc(om, truth) == (8, 1.0)
+    assert score_point(edge_set(om), om, truth, om)["mse_offdiag"] == 0.0
 
 
 def test_roc_empty_support_point():
     truth = make_edges(4, {(1, 2)})
-    path = _FakePath([np.eye(4)])
-    assert roc_points(path, truth).points == ((0, 0.0),)
+    assert _roc(np.eye(4), truth) == (0, 0.0)
 
 
 def test_roc_matches_recount_oracle():
     rng = np.random.default_rng(41)
     truth_pairs = {(1, 2), (2, 3), (1, 4)}
     truth = make_edges(5, truth_pairs)
-    omegas, expected = [], []
+    truth_om = _om(5, truth_pairs, val=-0.2)
+    all_pairs = [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
     for _ in range(6):
         k = int(rng.integers(0, 5))
-        all_pairs = [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
         idx = rng.choice(len(all_pairs), size=k, replace=False)
         pairs = {all_pairs[i] for i in idx}
-        omegas.append(_om(5, pairs))
+        om = _om(5, pairs)
         hits = sum(1 for e in pairs if e in truth_pairs)
-        expected.append((2 * len(pairs), hits / len(truth_pairs)))
-    curve = roc_points(_FakePath(omegas), truth)
-    assert sorted(curve.points) == sorted(expected)
-    assert all(0.0 <= t <= 1.0 for _, t in curve.points)
-    nnzs = [n for n, _ in curve.points]
-    assert nnzs == sorted(nnzs)
+        naive = sum(
+            (om[i, j] - truth_om[i, j]) ** 2 for i in range(5) for j in range(5) if i != j
+        ) / 20
+        got = score_point(edge_set(om), om, truth, truth_om)
+        assert (got["nnz"], got["tpr"]) == (2 * len(pairs), hits / len(truth_pairs))
+        assert 0.0 <= got["tpr"] <= 1.0
+        assert got["mse_offdiag"] == pytest.approx(naive, rel=1e-12)
 
 
 def test_roc_tpr_one_when_truth_covered():
     truth = make_edges(5, {(1, 2), (2, 3)})
     superset = {(1, 2), (2, 3), (1, 4), (3, 5)}
-    curve = roc_points(_FakePath([_om(5, superset)]), truth)
-    assert curve.points == ((8, 1.0),)
-
-
-def test_roc_skips_failed_points_and_rejects_empty_truth():
-    truth = make_edges(3, {(1, 2)})
-    path = _FakePath([None, _om(3, {(1, 2)})])
-    assert roc_points(path, truth).points == ((2, 1.0),)
-    with pytest.raises(EmptyTruth):
-        roc_points(path, make_edges(3, set()))
+    assert _roc(_om(5, superset), truth) == (8, 1.0)
 
 
 # --- mse ------------------------------------------------------------------------
