@@ -198,16 +198,21 @@ def run_fit(args) -> int:
     return 2 if any(s != "ok" for s in statuses) else 0
 
 
-def _load_fit(path) -> dict:
+def _load_fit(path, keys) -> dict:
+    """Read a JSON artifact and check that it has every key in ``keys``."""
     path = Path(path)
     if not path.exists():
         raise InputError(f"fit artifact not found: {path}")
     import json
 
     try:
-        return json.loads(path.read_text())
+        doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: bad JSON ({exc})")
+    missing = [k for k in keys if not isinstance(doc, dict) or k not in doc]
+    if missing:
+        raise InputError(f"{path} lacks {', '.join(missing)}; is it the right artifact?")
+    return doc
 
 
 def _edges_from_lists(p: int, pairs) -> metrics.EdgeSet:
@@ -215,12 +220,10 @@ def _edges_from_lists(p: int, pairs) -> metrics.EdgeSet:
 
 
 def run_evaluate(args) -> int:
-    doc = _load_fit(args.fit)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    doc = _load_fit(args.fit, ("fits",))
     report = {"config": {"command": "evaluate", "fit": str(args.fit)}}
     if args.truth:
-        truth_doc = _load_fit(args.truth)
+        truth_doc = _load_fit(args.truth, ("p", "omega", "edges"))
         report["config"]["truth"] = str(args.truth)
         p = int(truth_doc["p"])
         truth_omega = np.asarray(truth_doc["omega"], dtype=float)
@@ -240,7 +243,7 @@ def run_evaluate(args) -> int:
             )
         report["per_lambda"] = per_lambda
     if args.fit_b:
-        doc_b = _load_fit(args.fit_b)
+        doc_b = _load_fit(args.fit_b, ("fits",))
         report["config"]["fit_b"] = str(args.fit_b)
         if "edges" not in doc or "edges" not in doc_b:
             raise InputError("both fits need a final estimate to compare")
@@ -252,6 +255,8 @@ def run_evaluate(args) -> int:
         b = _edges_from_lists(p_b, doc_b["edges"])
         report["total_agreement"] = metrics.total_agreement(a, b)
         report["common_edges"] = metrics.common_edges(a, b)
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     fileio.write_json(outdir / "metrics.json", report)
     _progress(args, f"wrote {outdir / 'metrics.json'}")
     return 0

@@ -314,6 +314,28 @@ def test_evaluate_dimension_mismatch_exit_1(simdir, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("flags", [
+    ["--fit", "truth", "--truth", "truth"],
+    ["--fit", "fit", "--truth", "fit"],
+    ["--fit", "fit", "--fit-b", "truth"],
+    ["--fit", "truth", "--fit-b", "fit"],
+], ids=" ".join)
+def test_evaluate_wrong_artifact_exit_1_nothing_written(simdir, tmp_path, capsys, flags):
+    fitdir = tmp_path / "fit"
+    assert run(
+        ["fit", "--estimator", "glasso", "--lambda", "0.1",
+         "--input", str(simdir / "data.csv"), "--out", str(fitdir), "--quiet"]
+    ) == 0
+    files = {"truth": simdir / "truth.json", "fit": fitdir / "fit.json"}
+    argv = [str(files.get(f, f)) for f in flags]
+    capsys.readouterr()
+    code = run(["evaluate", *argv, "--out", str(tmp_path / "e"), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert not (tmp_path / "e").exists()
+
+
 def test_bench_small_run_and_aggregates(tmp_path, monkeypatch):
     monkeypatch.setenv("RGGM_THREADS", "1")
     out = tmp_path / "bench"

@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from robustggm import (
     GlassoProblem,
+    glasso,
+    simgen,
+    study,
     MaxSweepsExceeded,
     NonPositiveDiagonal,
     NotPositiveDefinite,
@@ -15,7 +18,7 @@ from robustggm import (
     reduce_to_standard,
     solve,
 )
-from robustggm.glasso import _lasso_cd
+from robustggm.glasso import _lasso_cd, _support_newton
 from conftest import random_spd
 
 
@@ -267,3 +270,134 @@ def test_solve_working_memory_is_quadratic_in_p():
     finally:
         tracemalloc.stop()
     assert peak < 20 * p * p * 8
+
+
+# --- exact Newton finish of the sweep loop -----------------------------------
+
+def warm_start(rng, prob, kind):
+    """None, the solution at another penalty (a wrong support), or that
+    solution with random off-diagonal signs flipped and shifted to PD."""
+    if kind == "cold":
+        return None
+    omega = solve(GlassoProblem(s=prob.s, lam=prob.lam * rng.uniform(0.3, 3.0))).omega
+    if kind == "flipped":
+        p = prob.dim
+        flip = np.triu(rng.random((p, p)) < 0.5, 1)
+        omega = np.where(flip | flip.T, -omega, omega)
+        low = np.linalg.eigvalsh(omega).min()
+        if low < 0.05:
+            omega = omega + (0.05 - low) * np.eye(p)
+    return omega
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(2, 7),
+    lam_scale=st.floats(0.02, 0.9),
+    kind=st.sampled_from(["cold", "other_lambda", "flipped"]),
+)
+def test_solve_with_finish_kkt_pd_and_monotone_trace(seed, p, lam_scale, kind):
+    rng = np.random.default_rng(seed)
+    prob = random_problem(rng, p, lam_scale=lam_scale)
+    sol = solve(prob, init=warm_start(rng, prob, kind), record_trace=True)
+    assert kkt_residual(sol.omega, prob) < 1e-6
+    np.linalg.cholesky(sol.omega)  # raises unless PD
+    assert np.array_equal(sol.omega, sol.omega.T)
+    tr = sol.objective_trace
+    assert len(tr) == sol.iterations + (sol.newton_steps > 0)
+    assert all(b <= a + 1e-9 * max(1.0, abs(a)) for a, b in zip(tr, tr[1:]))
+
+
+def _shrink_offdiagonal(x):
+    # a convex combination of two PD matrices: PD, same signs, wrong values
+    return 0.9 * x + 0.1 * np.diag(np.diag(x))
+
+
+def _flip_one(x):
+    x = x.copy()
+    i, j = np.argwhere(np.triu(x, 1) != 0)[0]
+    x[i, j] = x[j, i] = -x[i, j]
+    return x
+
+
+def _zero_one(x):
+    x = x.copy()
+    i, j = np.argwhere(np.triu(x, 1) != 0)[0]
+    x[i, j] = x[j, i] = 0.0
+    return x
+
+
+@pytest.mark.parametrize("corrupt, kkt_tol", [
+    (_flip_one, 1e-6),  # fails the sign test
+    (_zero_one, 1e-6),  # fails the sign test (a zero on E)
+    (_shrink_offdiagonal, 1e-6),  # fails the KKT test
+    (_shrink_offdiagonal, 1.0),  # passes KKT < 1, fails the objective test
+])
+def test_rejected_finish_sweeps_on(monkeypatch, corrupt, kkt_tol):
+    """Every candidate the finish offers is corrupted: the solve must
+    reject each one and end by sweeps at the plain solver's answer."""
+    prob = random_problem(np.random.default_rng(21), 6, lam_scale=0.2)
+    reference = solve(prob, tol=1e-9, kkt_tol=1e-9)
+    offered = []
+
+    def corrupted(*args, **kw):
+        found = _support_newton(*args, **kw)
+        if found is None or np.count_nonzero(np.triu(found[0], 1)) == 0:
+            return found
+        offered.append(corrupt(found[0]))
+        return offered[-1], 1
+
+    monkeypatch.setattr(glasso, "_support_newton", corrupted)
+    sol = solve(prob, tol=1e-9, kkt_tol=kkt_tol, record_trace=True)
+    assert offered
+    assert sol.newton_steps == 0
+    assert all(sol.omega is not bad for bad in offered)
+    assert np.max(np.abs(sol.omega - reference.omega)) < 1e-6
+    tr = sol.objective_trace
+    assert all(b <= a + 1e-9 * max(1.0, abs(a)) for a, b in zip(tr, tr[1:]))
+
+
+def test_warm_start_on_the_right_support_finishes_after_one_sweep():
+    """At its own solution the first sweep already meets the stop rule.
+    From the solution at a 1% smaller penalty, on the same signed
+    support, one sweep and the Newton finish solve the problem."""
+    cases = 0
+    for seed in range(10):
+        prob = random_problem(np.random.default_rng(seed), 7, lam_scale=0.3)
+        sol = solve(prob)
+        again = solve(prob, init=sol.omega)
+        assert (again.iterations, again.newton_steps) == (1, 0)
+        near = solve(GlassoProblem(s=prob.s, lam=0.99 * prob.lam)).omega
+        if not np.array_equal(np.sign(near), np.sign(sol.omega)):
+            continue
+        cases += 1
+        warm = solve(prob, init=near)
+        assert warm.iterations == 1 and warm.newton_steps > 0
+        assert warm.kkt_residual < 1e-6
+        assert np.max(np.abs(warm.omega - sol.omega)) < 1e-6
+    assert cases >= 5
+
+
+def test_study_p25_sweep_count(monkeypatch):
+    """Work-count regression on the acceptance replicate (p=25, n=200,
+    model ii, replicate 0 of seed 42): all four paths together took
+    1,330 sweeps before the Newton finish and 356 with it."""
+    solve_ = glasso.solve
+    sweeps = []
+
+    def counted(*args, **kw):
+        sol = solve_(*args, **kw)
+        sweeps.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(glasso, "solve", counted)
+    spec = simgen.SimSpec(p=25, n=200, model="ii", epsilon=0.1, eta=5.0, ba_m=1,
+                          seed=simgen.replicate_seed(42, 0))
+    X, _, _ = simgen.generate(spec)
+    for est in study.ESTIMATORS:
+        path = study.fit_path(est, X, gamma=0.05, nu=1.0, delta_n="auto", K=10,
+                              delta=0.2, tol=1e-7, max_iter=200)
+        assert set(path.statuses) == {"ok"}
+    assert len(sweeps) == 200
+    assert sum(sweeps) <= 500
