@@ -198,15 +198,23 @@ def run_fit(args) -> int:
     return 2 if any(s != "ok" for s in statuses) else 0
 
 
+def _without_weights(pairs: list) -> dict:
+    """A JSON object less its per-row ``weights``, which no evaluation
+    reads: on a tall fit they are most of ``fit.json``'s numbers, and
+    dropping each record's as it is parsed keeps them out of memory."""
+    return {k: v for k, v in pairs if k != "weights"}
+
+
 def _load_fit(path, keys) -> dict:
-    """Read a JSON artifact and check that it has every key in ``keys``."""
+    """Read a JSON artifact (less any ``weights``) and check that it has
+    every key in ``keys``."""
     path = Path(path)
     if not path.exists():
         raise InputError(f"fit artifact not found: {path}")
     import json
 
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(), object_pairs_hook=_without_weights)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: bad JSON ({exc})")
     missing = [k for k in keys if not isinstance(doc, dict) or k not in doc]

@@ -66,7 +66,9 @@ def _nest(cells: list, shape: tuple) -> str:
     ) + "]"
 
 
-def _emit(obj, out: list) -> None:
+def _emit(obj, out: list, arrays: dict) -> None:
+    """Append ``obj``'s JSON to ``out``; ``arrays`` maps the id of each
+    float array already formatted in this document to its text."""
     if obj is None:
         out.append("null")
     elif obj is True:
@@ -84,27 +86,33 @@ def _emit(obj, out: list) -> None:
         for i, (k, v) in enumerate(obj.items()):
             if i:
                 out.append(",")
-            _emit(str(k), out)
+            _emit(str(k), out, arrays)
             out.append(":")
-            _emit(v, out)
+            _emit(v, out, arrays)
         out.append("}")
     elif isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim:
-        out.append(_nest(_fmt_floats(obj), obj.shape))
+        text = arrays.get(id(obj))
+        if text is None:
+            text = arrays[id(obj)] = _nest(_fmt_floats(obj), obj.shape)
+        out.append(text)
     elif isinstance(obj, (list, tuple, np.ndarray)):
         seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
         out.append("[")
         for i, v in enumerate(seq):
             if i:
                 out.append(",")
-            _emit(v, out)
+            _emit(v, out, arrays)
         out.append("]")
     else:
         raise InputError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps_json(obj) -> str:
+    """``obj`` as deterministic JSON.  An array that appears more than
+    once (``fit.json`` repeats the last point's arrays at the top) is
+    formatted once; the ids are those of objects ``obj`` keeps alive."""
     out: list = []
-    _emit(obj, out)
+    _emit(obj, out, {})
     return "".join(out)
 
 

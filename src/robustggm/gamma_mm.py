@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import glasso
 from .errors import (
@@ -52,7 +51,9 @@ class FitResult:
     """One converged (or iteration-capped) estimate at a fixed (gamma, lam).
 
     ``weights`` are the gamma-divergence weights evaluated at the
-    returned parameters; they are nonnegative and sum to one.
+    returned parameters; they are nonnegative and sum to one.  ``logf``
+    is log f(x_i) at the returned parameters, which the weights derive
+    from (None for tlasso and npn).
     ``objective_trace`` holds the penalized objective from the initial
     point onward and is non-increasing up to roundoff.
     """
@@ -63,6 +64,7 @@ class FitResult:
     converged: bool
     mm_iterations: int
     iterates: tuple | None = None
+    logf: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -92,17 +94,26 @@ def compute_weights(X: np.ndarray, theta: ModelParams, gamma: float) -> np.ndarr
 
 
 def exp_weights(a: np.ndarray, c: float) -> np.ndarray:
-    """w_i = exp(c a_i) / sum_j exp(c a_j) in the log domain, uniform at c = 0:
-    f^gamma for a = log f, c = gamma, or for a = -2 log f + const, c = -gamma/2."""
+    """w_i = exp(c a_i) / sum_j exp(c a_j), uniform at c = 0:
+    f^gamma for a = log f, c = gamma, or for a = -2 log f + const, c = -gamma/2.
+
+    One exponential of the logits shifted by their largest, so the
+    largest term is exp(0) = 1 and the sum is in [1, n]: no overflow,
+    and a remote row's weight underflows to exactly 0, never NaN."""
     if c == 0.0:
         return np.full(a.shape[0], 1.0 / a.shape[0])
-    logits = c * a
-    w = np.exp(logits - logsumexp(logits))
-    return w / w.sum()
+    w = c * a
+    w -= w.max()
+    np.exp(w, out=w)
+    w /= w.sum()
+    return w
 
 
-def weighted_scatter(X: np.ndarray, mu: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_i w_i (x_i - mu)(x_i - mu)^T, exactly symmetric."""
+def weighted_scatter(
+    X: np.ndarray, mu: np.ndarray, w: np.ndarray, centered: np.ndarray | None = None
+) -> np.ndarray:
+    """sum_i w_i (x_i - mu)(x_i - mu)^T, exactly symmetric.  ``centered``,
+    when given, must be X - mu (a caller that holds it saves a copy of X)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     mu = np.asarray(mu, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -110,7 +121,7 @@ def weighted_scatter(X: np.ndarray, mu: np.ndarray, w: np.ndarray) -> np.ndarray
         raise DimensionMismatch(
             f"X {X.shape}, mu {mu.shape}, w {w.shape} do not agree"
         )
-    d = X - mu
+    d = X - mu if centered is None else centered
     s = (d * w[:, None]).T @ d
     return (s + s.T) / 2.0
 
@@ -146,6 +157,7 @@ def mm_step(
     theta_t: ModelParams,
     cfg: RobustConfig,
     weights: np.ndarray | None = None,
+    centered: np.ndarray | None = None,
 ) -> tuple[ModelParams, np.ndarray]:
     """One majorize-minimize step from ``theta_t``.
 
@@ -155,11 +167,15 @@ def mm_step(
     update solves the graphical lasso on the weighted scatter with
     log-determinant coefficient 1/(1+gamma), warm-started at the
     current precision, to :func:`glasso.solve`'s default tolerance.
+    ``centered``, when given, is an array shaped like X that receives the
+    rows the scatter is formed from, X - mu_{t+1}: :func:`fit` evaluates
+    the new iterate's log-density on them.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     w = compute_weights(X, theta_t, cfg.gamma) if weights is None else weights
     mu_next = w @ X
-    s_w = _check_scatter(weighted_scatter(X, mu_next, w))
+    d = np.subtract(X, mu_next, out=centered)
+    s_w = _check_scatter(weighted_scatter(X, mu_next, w, centered=d))
     problem = glasso.GlassoProblem(
         s=s_w, lam=cfg.lam, logdet_scale=1.0 / (1.0 + cfg.gamma)
     )
@@ -174,6 +190,7 @@ def fit(
     tol: float = 1e-7,
     max_iter: int = 200,
     keep_iterates: bool = False,
+    init_logf: np.ndarray | None = None,
 ) -> FitResult:
     """Minimize the penalized negative gamma-likelihood by MM iteration.
 
@@ -182,23 +199,30 @@ def fit(
     stagnation is not required).  Exceeding ``max_iter`` is a soft
     failure: the result is returned with ``converged=False``.
 
-    Each iterate's log-density is evaluated once; its objective, the
-    next step's weights and the returned weights all derive from it.
+    Each iterate's log-density is evaluated once, on the rows its MM
+    step centered for the weighted scatter; its objective, the next
+    step's weights and the returned weights all derive from it.
+    ``init_logf``, when given, must be ``log_density(X, init)``:
+    :func:`solution_path` hands each point's last log-density to the
+    next point, which starts from the same estimate.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] < 2:
         raise EmptyDataset("need at least two observations")
     theta = init if init is not None else robust_init(X)
-    logf = log_density(X, theta)
+    logf = log_density(X, theta) if init_logf is None else init_logf
     obj = penalized_gamma_objective_logf(logf, theta.omega, cfg)
     trace = [obj]
     iterates = [theta] if keep_iterates else None
     converged = False
     iterations = 0
+    centered = np.empty_like(X)  # X - mu of the latest iterate, refilled by each step
     for _ in range(max_iter):
-        theta, _ = mm_step(X, theta, cfg, weights=exp_weights(logf, cfg.gamma))
+        theta, _ = mm_step(
+            X, theta, cfg, weights=exp_weights(logf, cfg.gamma), centered=centered
+        )
         iterations += 1
-        logf = log_density(X, theta)
+        logf = log_density(X, theta, centered=centered)
         new_obj = penalized_gamma_objective_logf(logf, theta.omega, cfg)
         trace.append(new_obj)
         if keep_iterates:
@@ -215,6 +239,7 @@ def fit(
         converged=converged,
         mm_iterations=iterations,
         iterates=tuple(iterates) if keep_iterates else None,
+        logf=logf,
     )
 
 
@@ -243,10 +268,12 @@ def univariate_gamma_fit(
     mad = MAD_CONSTANT * float(np.median(np.abs(x - mu)))
     sigma = mad**2 if mad > 0 else float(x.var())
     floor = 1e-15 * span**2
+    dev2 = (x - mu) ** 2  # at the current mu; each pass's variance update refreshes it
     for _ in range(max_iter):
-        w = exp_weights((x - mu) ** 2 / sigma + np.log(sigma), -0.5 * gamma)
+        w = exp_weights(dev2 / sigma + np.log(sigma), -0.5 * gamma)
         mu_new = float(w @ x)
-        sigma_new = max((1.0 + gamma) * float(w @ (x - mu_new) ** 2), floor)
+        dev2 = (x - mu_new) ** 2
+        sigma_new = max((1.0 + gamma) * float(w @ dev2), floor)
         done = max(abs(mu_new - mu), abs(sigma_new - sigma)) <= tol * max(
             1.0, abs(mu), sigma
         )
@@ -275,10 +302,14 @@ def diagonal_fixed_point(
     """
     if X.shape[1] < 2:
         raise DimensionMismatch("need at least two variables")
+    # dev2, the one (n, p) work array: (X - mu)^2 at the current mu, divided
+    # by sig in place for the weights, then refilled at the new mu
+    dev2 = (X - mu) ** 2
     for _ in range(max_iter):
-        w = weigh(np.sum((X - mu) ** 2 / sig, axis=1), sig)
+        w = weigh(np.sum(np.divide(dev2, sig, out=dev2), axis=1), sig)
         mu_new = w @ X
-        sig_new = scale * (w @ (X - mu_new) ** 2)
+        np.square(np.subtract(X, mu_new, out=dev2), out=dev2)
+        sig_new = scale * (w @ dev2)
         if np.any(sig_new <= 0):
             raise DegenerateScatter("weights collapsed in the diagonal fit")
         done = max(
@@ -287,7 +318,7 @@ def diagonal_fixed_point(
         mu, sig = mu_new, sig_new
         if done:
             break
-    s_w = weighted_scatter(X, mu, weigh(np.sum((X - mu) ** 2 / sig, axis=1), sig))
+    s_w = weighted_scatter(X, mu, weigh(np.sum(np.divide(dev2, sig, out=dev2), axis=1), sig))
     theta = ModelParams(mu=mu, omega=np.diag(1.0 / (scale * np.diag(s_w))))
     return theta, s_w, offdiag_absmax(s_w)
 
@@ -355,14 +386,20 @@ def solution_path(
     """Fit a warm-started path over lam_k = lam1 * delta^((k-1)/(K-1)).
 
     The first point starts at the diagonal fixed point (so its support
-    is empty); each later point starts from its predecessor's estimate.
+    is empty); each later point starts from its predecessor's estimate,
+    and from the log-density its predecessor ended with there.
     Estimation errors are recorded per point (see :func:`warm_path`).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     theta0, _, lam1 = diagonal_start(X, gamma)
-    return warm_path(
-        geometric_grid(lam1, K, delta), theta0,
-        lambda lam, theta: fit(
-            X, RobustConfig(gamma=gamma, lam=lam), init=theta, tol=tol, max_iter=max_iter
-        ),
-    )
+    last = None  # the latest successful fit, whose estimate warm_path starts the next at
+
+    def fit_at(lam: float, theta: ModelParams) -> FitResult:
+        nonlocal last
+        last = fit(
+            X, RobustConfig(gamma=gamma, lam=lam), init=theta, tol=tol, max_iter=max_iter,
+            init_logf=None if last is None else last.logf,
+        )
+        return last
+
+    return warm_path(geometric_grid(lam1, K, delta), theta0, fit_at)

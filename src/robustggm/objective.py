@@ -79,14 +79,19 @@ def l1_offdiag(omega: np.ndarray) -> float:
     return float(a.sum() - np.trace(a))
 
 
-def log_density(x: np.ndarray, theta: ModelParams) -> float | np.ndarray:
+def log_density(
+    x: np.ndarray, theta: ModelParams, centered: np.ndarray | None = None
+) -> float | np.ndarray:
     """Gaussian log-density log f(x; mu, omega).
 
     ``x`` may be a single length-p vector or an (n, p) matrix of row
     observations; returns a scalar or a length-n array accordingly.
+    ``centered``, when given, must be x - mu (a caller that holds it
+    saves a copy of x).
     """
     f = spd_factorize(theta.omega)
-    q = quad_form(f, np.asarray(x, dtype=float) - theta.mu)
+    d = np.asarray(x, dtype=float) - theta.mu if centered is None else centered
+    q = quad_form(f, d)
     return -0.5 * theta.p * LOG_2PI + 0.5 * f.logdet - 0.5 * q
 
 

@@ -1,10 +1,11 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from robustggm import baselines, cli, glasso, study
+from robustggm import baselines, cli, fileio, glasso, study
 from robustggm.errors import DegenerateScatter, MaxSweepsExceeded
 from robustggm.fileio import read_csv, write_csv
 from robustggm.metrics import edge_set
@@ -334,6 +335,30 @@ def test_evaluate_wrong_artifact_exit_1_nothing_written(simdir, tmp_path, capsys
     assert code == 1
     assert err.count("\n") == 1 and err.startswith("error:")
     assert not (tmp_path / "e").exists()
+
+
+def test_evaluate_memory_does_not_hold_the_weights(simdir, tmp_path):
+    """A tall fit.json is mostly per-row weights, which evaluate never
+    reads.  Reading the file holds its bytes and its text at once, about
+    twice its size; holding every parsed weight as well took 2.4 times."""
+    truth = json.loads((simdir / "truth.json").read_text())
+    rng = np.random.default_rng(63)
+    rec = {"lambda": 0.1, "status": "ok", "omega": np.asarray(truth["omega"]),
+           "edges": truth["edges"], "weights": rng.dirichlet(np.ones(40_000))}
+    doc = {"config": {}, "fits": [dict(rec, weights=rng.dirichlet(np.ones(40_000))) for _ in range(10)],
+           "omega": rec["omega"], "edges": rec["edges"], "weights": rec["weights"]}
+    fileio.write_json(tmp_path / "fit.json", doc)
+    size = (tmp_path / "fit.json").stat().st_size
+    tracemalloc.start()
+    try:
+        code = run(["evaluate", "--fit", str(tmp_path / "fit.json"), "--truth", str(simdir / "truth.json"),
+                    "--out", str(tmp_path / "e"), "--quiet"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(json.loads((tmp_path / "e" / "metrics.json").read_text())["per_lambda"]) == 10
+    assert peak < 2.2 * size
 
 
 def test_bench_small_run_and_aggregates(tmp_path, monkeypatch):

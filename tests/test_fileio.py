@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -137,6 +138,24 @@ def test_array_formatting_matches_per_element(tmp_path_factory, vals, cols):
     path = tmp_path_factory.mktemp("w") / "x.csv"
     write_csv(path, M)
     assert path.read_bytes() == _write_csv_per_cell(M)
+
+
+@settings(max_examples=100, deadline=None)
+@given(vals=st.lists(values, min_size=4, max_size=60))
+def test_repeated_array_formatted_once_with_per_element_bytes(vals):
+    """fit.json repeats the last point's arrays at the top level: each
+    array object is formatted once per document, with the bytes of
+    _fmt_float on every element."""
+    w = np.array(vals)
+    om = w[:4].reshape(2, 2)
+    w_text = "[" + ",".join(_fmt_float(x) for x in vals) + "]"
+    om_text = "[" + ",".join("[" + ",".join(_fmt_float(x) for x in row) + "]" for row in om.tolist()) + "]"
+    point = f'{{"omega":{om_text},"weights":{w_text}}}'
+    doc = {"fits": [{"omega": om, "weights": w}, {"omega": om.copy(), "weights": w}], "omega": om, "weights": w}
+    with mock.patch.object(fileio, "_fmt_floats", wraps=fileio._fmt_floats) as fmt:
+        text = dumps_json(doc)
+    assert text == f'{{"fits":[{point},{point}],"omega":{om_text},"weights":{w_text}}}'
+    assert fmt.call_count == 3  # w, om and om's copy
 
 
 @settings(max_examples=100, deadline=None)

@@ -2,6 +2,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from robustggm import (
@@ -25,9 +27,9 @@ from robustggm import (
     univariate_gamma_fit,
     weighted_scatter,
 )
-from robustggm import gamma_mm, objective
+from robustggm import baselines, gamma_mm, objective
 from robustggm.errors import DegenerateScatter
-from robustggm.gamma_mm import geometric_grid, warm_path
+from robustggm.gamma_mm import diagonal_fixed_point, exp_weights, geometric_grid, warm_path
 from conftest import mixture_24, random_spd, random_theta
 
 
@@ -71,6 +73,27 @@ def test_weights_sum_to_one_under_outliers():
         w = compute_weights(X, theta, g)
         assert abs(w.sum() - 1.0) < 1e-12
         assert np.all(w >= 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.lists(st.floats(-5e3, 5e3), min_size=1, max_size=60),
+    c=st.sampled_from([1.0, 0.1, -0.05, -0.5, 2.0]),
+)
+def test_exp_weights_match_logsumexp_reference(a, c):
+    """Logits c * a spread over up to 1e4: the shifted single exponential
+    sums to one and matches exp(l - logsumexp(l)), the reference taken in
+    extended precision so that its own rounding does not count."""
+    a = np.array(a)
+    w = exp_weights(a, c)
+    assert np.all(w >= 0) and np.all(np.isfinite(w))
+    assert abs(w.sum() - 1.0) <= 1e-12
+    logits = (c * a).astype(np.longdouble)
+    ref = np.exp(logits - logsumexp(logits))
+    ref /= ref.sum()
+    big = w > 1e-300
+    assert np.all(np.abs(w[big] - ref[big]) <= 1e-13 * ref[big])
+    np.testing.assert_array_equal(exp_weights(a, 0.0), np.full(a.shape[0], 1.0 / a.shape[0]))
 
 
 # --- weighted scatter ---------------------------------------------------------
@@ -327,6 +350,73 @@ def test_univariate_degenerate_sample():
         univariate_gamma_fit(np.full(10, 3.3), 0.3)
 
 
+# --- carried squared deviations: the same floats as recentering every pass ----------
+
+def _recentering_univariate(x, gamma, tol=1e-12, max_iter=500):
+    mu = float(np.median(x))
+    mad = gamma_mm.MAD_CONSTANT * float(np.median(np.abs(x - mu)))
+    sigma = mad**2 if mad > 0 else float(x.var())
+    floor = 1e-15 * float(x.max() - x.min()) ** 2
+    for _ in range(max_iter):
+        w = exp_weights((x - mu) ** 2 / sigma + np.log(sigma), -0.5 * gamma)
+        mu_new = float(w @ x)
+        sigma_new = max((1.0 + gamma) * float(w @ (x - mu_new) ** 2), floor)
+        done = max(abs(mu_new - mu), abs(sigma_new - sigma)) <= tol * max(1.0, abs(mu), sigma)
+        mu, sigma = mu_new, sigma_new
+        if done:
+            break
+    return mu, sigma
+
+
+def _recentering_diagonal(X, mu, sig, weigh, scale, tol, max_iter):
+    for _ in range(max_iter):
+        w = weigh(np.sum((X - mu) ** 2 / sig, axis=1), sig)
+        mu_new = w @ X
+        sig_new = scale * (w @ (X - mu_new) ** 2)
+        done = max(
+            np.max(np.abs(mu_new - mu)), np.max(np.abs(sig_new - sig))
+        ) <= tol * max(1.0, np.max(np.abs(mu)), np.max(sig))
+        mu, sig = mu_new, sig_new
+        if done:
+            break
+    return mu, weighted_scatter(X, mu, weigh(np.sum((X - mu) ** 2 / sig, axis=1), sig))
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.05, 0.5])
+def test_univariate_fit_equals_recentering_loop(gamma):
+    X, _, _ = mixture_24(seed=31, n=300)
+    for x in X.T.copy():  # contiguous columns, as univariate_gamma_fit makes them
+        res = univariate_gamma_fit(x, gamma)
+        assert (res.mu_j, res.sigma_jj) == _recentering_univariate(x, gamma)
+
+
+@pytest.mark.parametrize("rule", ["gamma", "tlasso"])
+def test_diagonal_fixed_point_equals_recentering_loop(rule):
+    X, _, _ = mixture_24(seed=32, n=300)
+    p = X.shape[1]
+    if rule == "gamma":
+        gamma = 0.1
+        uni = [univariate_gamma_fit(X[:, j], gamma) for j in range(p)]
+        mu0 = np.array([u.mu_j for u in uni])
+        sig0 = np.array([u.sigma_jj for u in uni])
+        scale = 1.0 + gamma
+
+        def weigh(q, sig):
+            return exp_weights(q + np.log(sig).sum(), -0.5 * gamma)
+    else:
+        start = robust_init(X)
+        mu0, sig0, scale = start.mu, 1.0 / np.diag(start.omega), 1.0
+
+        def weigh(q, sig):
+            return baselines._t_weights(q, p, 1.0)
+    theta, s_w, lam1 = diagonal_fixed_point(X, mu0, sig0, weigh, scale, 1e-13, 2000)
+    ref_mu, ref_s = _recentering_diagonal(X, mu0, sig0, weigh, scale, 1e-13, 2000)
+    assert np.array_equal(theta.mu, ref_mu)
+    assert np.array_equal(s_w, ref_s)
+    assert np.array_equal(theta.omega, np.diag(1.0 / (scale * np.diag(ref_s))))
+    assert lam1 == gamma_mm.offdiag_absmax(ref_s)
+
+
 # --- lambda_max --------------------------------------------------------------------
 
 def test_lambda_max_p2_offdiagonal():
@@ -452,19 +542,19 @@ def test_path_one_log_density_per_iterate_and_same_numbers(monkeypatch, gamma):
     X, _, _ = mixture_24(seed=24)
     seen = []  # the θ objects evaluated, kept alive so that their ids stay distinct
 
-    def counting(x, theta):
+    def counting(x, theta, **kw):
         seen.append(theta)
-        return log_density(x, theta)
+        return log_density(x, theta, **kw)
 
     for module in (gamma_mm, objective):
         monkeypatch.setattr(module, "log_density", counting)
     path = solution_path(X, gamma=gamma, K=5, delta=0.2)
     monkeypatch.undo()
     assert all(s == "ok" for s in path.statuses)
-    # each fit evaluates its start and each of its MM iterates once; the
-    # only repeats are the warm starts handed from one point to the next
-    assert len(seen) == sum(f.mm_iterations + 1 for f in path.fits)
-    assert len(seen) - len({id(t) for t in seen}) == len(path.fits) - 1
+    # the first fit evaluates its start, and every fit each of its MM
+    # iterates, once; a warm start's log f is handed down, never recomputed
+    assert len(seen) == 1 + sum(f.mm_iterations for f in path.fits)
+    assert len({id(t) for t in seen}) == len(seen)
 
     theta = diagonal_start(X, gamma)[0]
     for lam, res in zip(path.lambdas, path.fits):
