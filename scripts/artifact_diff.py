@@ -12,6 +12,12 @@ Each checkout runs, from its own ``src/`` and in its own directory under
 - the acceptance bench (``rggm bench`` at p=25, n=200, model ii, seed 42,
   all four estimators), with ``--replicates`` replicates
 
+Both checkouts run with ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
+``MKL_NUM_THREADS`` set to 1, as ``perfbench/run.py`` runs its workloads:
+``fit`` artifacts depend on the BLAS thread count, so this diff covers
+the numbers the benchmark checks, and a difference it reports is the
+code's, not the thread count's.
+
 For every artifact it prints "byte-identical", or how many numbers differ
 and the largest relative difference among them.  Non-numeric tokens that
 differ (edge hashes, statuses) are counted separately.
@@ -39,6 +45,7 @@ BENCH = ["bench", "--p", "25", "--n", "200", "--model", "ii", "--epsilon", "0.1"
          "--eta", "5", "--gamma", "0.05", "--nu", "1", "--seed", "42",
          "--estimators", ",".join(ESTIMATORS), "--lambda-grid", "default",
          "--out", "bench", "--quiet"]
+ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 SPLIT = re.compile(r'[\s,\[\]{}:"]+')
 
 
@@ -71,7 +78,7 @@ def artifacts(replicates: int | None) -> list[str]:
 
 def run_checkout(checkout: Path, workdir: Path, cmds) -> list[int]:
     workdir.mkdir(parents=True, exist_ok=False)
-    env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"))
+    env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"), **ONE_BLAS_THREAD)
     codes = []
     for argv in cmds:
         done = subprocess.run([sys.executable, "-m", "robustggm.cli", *argv], cwd=workdir, env=env)

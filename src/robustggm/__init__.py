@@ -31,7 +31,6 @@ from .errors import (
 from .gamma_mm import (
     FitResult,
     SolutionPath,
-    UnivariateFit,
     compute_weights,
     diagonal_start,
     fit,
@@ -39,7 +38,6 @@ from .gamma_mm import (
     mm_step,
     robust_init,
     solution_path,
-    univariate_gamma_fit,
     weighted_scatter,
 )
 from .glasso import GlassoProblem, GlassoSolution, glasso_objective, kkt_residual, reduce_to_standard, solve

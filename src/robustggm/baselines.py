@@ -144,19 +144,12 @@ def fit_tlasso(
     )
 
 
-def tlasso_diagonal_start(
-    X: np.ndarray, nu: float, tol: float = 1e-12, max_iter: int = 2000
-) -> tuple[ModelParams, np.ndarray, float]:
-    """tlasso's :func:`~robustggm.gamma_mm.diagonal_fixed_point` (normalized
-    t weights, variance scale 1) from the median and adjusted MAD; its lam1,
-    the largest off-diagonal of the scatter fit_tlasso's M-step solves
-    there, anchors the tlasso path.  Returns (theta, S_u, lam1)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    start = robust_init(X)
-    return diagonal_fixed_point(
-        X, start.mu, 1.0 / np.diag(start.omega),
-        lambda q, sig: _t_weights(q, X.shape[1], nu), 1.0, tol, max_iter,
-    )
+def tlasso_diagonal_start(X: np.ndarray, nu: float) -> tuple[ModelParams, np.ndarray, float]:
+    """tlasso's :func:`~robustggm.gamma_mm.diagonal_fixed_point`: normalized
+    t weights, variance scale 1.  Its lam1, the largest off-diagonal of the
+    scatter fit_tlasso's M-step solves there, anchors the tlasso path.
+    Returns (theta, S_u, lam1)."""
+    return diagonal_fixed_point(X, lambda q, sig: _t_weights(q, sig.shape[0], nu), 1.0)
 
 
 def tlasso_path(
@@ -189,7 +182,8 @@ def npn_transform(X: np.ndarray, cfg: NpnConfig) -> np.ndarray:
     CDF (ties averaged, rank / (n + 1)) truncated to
     [delta_n, 1 - delta_n]; mean and (biased) standard deviation are the
     column sample moments.  Monotone in each column, so within-column
-    rank order is preserved.
+    rank order is preserved.  A constant column, or one whose variance
+    overflows float64, raises DegenerateColumn naming it.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, p = X.shape
@@ -201,9 +195,13 @@ def npn_transform(X: np.ndarray, cfg: NpnConfig) -> np.ndarray:
         col = X[:, j]
         if col.max() == col.min():
             raise DegenerateColumn(f"column {j} has fewer than 2 distinct values")
+        with np.errstate(over="ignore"):  # an overflowed spread is refused below
+            var = col.var()
+        if not np.isfinite(var):
+            raise DegenerateColumn(f"column {j} spreads too wide: its variance overflows float64")
         cdf = rankdata(col, method="average") / (n + 1.0)
         cdf = np.clip(cdf, delta, 1.0 - delta)
-        out[:, j] = col.mean() + col.std() * ndtri(cdf)
+        out[:, j] = col.mean() + np.sqrt(var) * ndtri(cdf)
     return out
 
 

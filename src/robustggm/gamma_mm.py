@@ -36,14 +36,8 @@ from .objective import (
 )
 
 MAD_CONSTANT = 1.4826  # normal-consistent scaling of the median absolute deviation
-
-
-@dataclass(frozen=True)
-class UnivariateFit:
-    """Robust location/variance estimate for one variable."""
-
-    mu_j: float
-    sigma_jj: float
+DIAGONAL_TOL = 1e-13  # the diagonal fixed point stops once no entry moves by this, relatively
+DIAGONAL_MAX_PASSES = 2000
 
 
 @dataclass(frozen=True)
@@ -140,16 +134,24 @@ def _check_scatter(s: np.ndarray) -> np.ndarray:
 
 def robust_init(X: np.ndarray) -> ModelParams:
     """Coordinatewise median location and diagonal precision from the
-    adjusted MAD (sample-deviation fallback for zero-MAD columns)."""
+    adjusted MAD (sample-deviation fallback for zero-MAD columns).
+    Raises DegenerateSample, naming the column, for a constant column or
+    one whose variance overflows float64."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     mu = np.median(X, axis=0)
-    scale = MAD_CONSTANT * np.median(np.abs(X - mu), axis=0)
-    fallback = X.std(axis=0)
-    scale = np.where(scale > 0, scale, fallback)
-    if np.any(scale <= 0):
-        j = int(np.argmin(scale))
-        raise DegenerateSample(f"column {j} is constant")
-    return ModelParams(mu=mu, omega=np.diag(1.0 / scale**2))
+    with np.errstate(over="ignore"):  # an overflowed spread is refused below, by column
+        scale = MAD_CONSTANT * np.median(np.abs(X - mu), axis=0)
+        fallback = X.std(axis=0)
+        scale = np.where(scale > 0, scale, fallback)
+        var = scale**2
+    # a constant column's std can round above 0, so its span decides too
+    flat = (scale <= 0) | (X.max(axis=0) == X.min(axis=0))
+    if np.any(flat):
+        raise DegenerateSample(f"column {int(np.argmax(flat))} is constant")
+    if not np.all(np.isfinite(var)):
+        j = int(np.argmin(np.isfinite(var)))
+        raise DegenerateSample(f"column {j} spreads too wide: its variance overflows float64")
+    return ModelParams(mu=mu, omega=np.diag(1.0 / var))
 
 
 def mm_step(
@@ -243,69 +245,36 @@ def fit(
     )
 
 
-def univariate_gamma_fit(
-    x: np.ndarray, gamma: float, tol: float = 1e-12, max_iter: int = 500
-) -> UnivariateFit:
-    """Robust univariate normal fit under the gamma-divergence.
-
-    Iterates the weighted fixed point
-    ``mu <- sum w_i x_i``, ``sigma <- (1+gamma) sum w_i (x_i - mu)^2``
-    with weights proportional to the gamma-th density power, starting
-    from the median and the adjusted MAD.  The variance is floored at a
-    tiny multiple of the squared data range so that configurations whose
-    objective is unbounded below (nearly all observations identical)
-    terminate at the collapse point instead of dividing by zero.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape[0] < 2:
-        raise EmptyDataset("need at least two observations")
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
-    span = float(x.max() - x.min())
-    if span == 0.0:
-        raise DegenerateSample("all values identical")
-    mu = float(np.median(x))
-    mad = MAD_CONSTANT * float(np.median(np.abs(x - mu)))
-    sigma = mad**2 if mad > 0 else float(x.var())
-    floor = 1e-15 * span**2
-    dev2 = (x - mu) ** 2  # at the current mu; each pass's variance update refreshes it
-    for _ in range(max_iter):
-        w = exp_weights(dev2 / sigma + np.log(sigma), -0.5 * gamma)
-        mu_new = float(w @ x)
-        dev2 = (x - mu_new) ** 2
-        sigma_new = max((1.0 + gamma) * float(w @ dev2), floor)
-        done = max(abs(mu_new - mu), abs(sigma_new - sigma)) <= tol * max(
-            1.0, abs(mu), sigma
-        )
-        mu, sigma = mu_new, sigma_new
-        if done:
-            break
-    return UnivariateFit(mu_j=mu, sigma_jj=sigma)
-
-
 def offdiag_absmax(s: np.ndarray) -> float:
-    """max_{j != k} |s[j, k]|: the least penalty with an empty glasso support on ``s``."""
+    """max_{j != k} |s[j, k]|: the least penalty with an empty glasso support on ``s``.
+    Every path anchors its grid here, so here a one-variable problem is refused."""
+    if s.shape[0] < 2:
+        raise DimensionMismatch("need at least two variables")
     return float(np.max(np.abs(s[~np.eye(s.shape[0], dtype=bool)])))
 
 
-def diagonal_fixed_point(
-    X: np.ndarray, mu: np.ndarray, sig: np.ndarray, weigh, scale: float, tol: float, max_iter: int
-) -> tuple[ModelParams, np.ndarray, float]:
+def diagonal_fixed_point(X: np.ndarray, weigh, scale: float) -> tuple[ModelParams, np.ndarray, float]:
     """Fixed point of a weighted estimator held to diagonal precision.
 
-    From the seed (mu, sig) it iterates the weights ``weigh(q, sig)`` of
+    From the seed (mu, sig) of :func:`robust_init` (median and adjusted
+    MAD) it iterates the weights ``weigh(q, sig)`` of
     q_i = sum_j (x_ij - mu_j)^2 / sig_j, their weighted mean, and the
-    weighted variances times ``scale`` (the estimator's 1/kappa).
+    weighted variances times ``scale`` (the estimator's 1/kappa), until
+    no entry of (mu, sig) moves by more than :data:`DIAGONAL_TOL` of the
+    largest (or of 1), for at most :data:`DIAGONAL_MAX_PASSES` passes.
     Returns (theta, S_w, lam1).  The estimator's precision step solves
     the graphical lasso on S_w, the weighted scatter there, so for
     lam >= lam1 = max_{j != k} |S_w[j, k]| it is stationary at theta.
     """
-    if X.shape[1] < 2:
-        raise DimensionMismatch("need at least two variables")
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[0] < 2:
+        raise EmptyDataset("need at least two observations")
+    seed = robust_init(X)
+    mu, sig = seed.mu, 1.0 / np.diag(seed.omega)
     # dev2, the one (n, p) work array: (X - mu)^2 at the current mu, divided
     # by sig in place for the weights, then refilled at the new mu
     dev2 = (X - mu) ** 2
-    for _ in range(max_iter):
+    for _ in range(DIAGONAL_MAX_PASSES):
         w = weigh(np.sum(np.divide(dev2, sig, out=dev2), axis=1), sig)
         mu_new = w @ X
         np.square(np.subtract(X, mu_new, out=dev2), out=dev2)
@@ -314,7 +283,7 @@ def diagonal_fixed_point(
             raise DegenerateScatter("weights collapsed in the diagonal fit")
         done = max(
             np.max(np.abs(mu_new - mu)), np.max(np.abs(sig_new - sig))
-        ) <= tol * max(1.0, np.max(np.abs(mu)), np.max(sig))
+        ) <= DIAGONAL_TOL * max(1.0, np.max(np.abs(mu)), np.max(sig))
         mu, sig = mu_new, sig_new
         if done:
             break
@@ -323,18 +292,14 @@ def diagonal_fixed_point(
     return theta, s_w, offdiag_absmax(s_w)
 
 
-def diagonal_start(
-    X: np.ndarray, gamma: float, tol: float = 1e-13, max_iter: int = 2000
-) -> tuple[ModelParams, np.ndarray, float]:
-    """The gamma estimator's :func:`diagonal_fixed_point` (weights f^gamma,
-    variance scale 1 + gamma) from the per-variable univariate fits; its
-    lam1 anchors the gamma and glasso paths.  Returns (theta, S_w, lam1)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    uni = [univariate_gamma_fit(X[:, j], gamma) for j in range(X.shape[1])]
+def diagonal_start(X: np.ndarray, gamma: float) -> tuple[ModelParams, np.ndarray, float]:
+    """The gamma estimator's :func:`diagonal_fixed_point`: weights f^gamma
+    of the diagonal normal, variance scale 1 + gamma.  Its lam1 anchors
+    the gamma and glasso paths.  Returns (theta, S_w, lam1)."""
+    if gamma < 0:
+        raise ValueError("gamma must be >= 0")
     return diagonal_fixed_point(
-        X, np.array([u.mu_j for u in uni]), np.array([u.sigma_jj for u in uni]),
-        lambda q, sig: exp_weights(q + np.log(sig).sum(), -0.5 * gamma),
-        1.0 + gamma, tol, max_iter,
+        X, lambda q, sig: exp_weights(q + np.log(sig).sum(), -0.5 * gamma), 1.0 + gamma
     )
 
 
@@ -385,8 +350,10 @@ def solution_path(
 ) -> SolutionPath:
     """Fit a warm-started path over lam_k = lam1 * delta^((k-1)/(K-1)).
 
-    The first point starts at the diagonal fixed point (so its support
-    is empty); each later point starts from its predecessor's estimate,
+    lam1 and the first point's start come from :func:`diagonal_start`,
+    the diagonal fixed point run from the median and adjusted MAD (so
+    the first support is empty); each later point starts from its
+    predecessor's estimate,
     and from the log-density its predecessor ended with there.
     Estimation errors are recorded per point (see :func:`warm_path`).
     """

@@ -158,6 +158,25 @@ def test_fit_non_finite_csv_cell_exit_1(tmp_path, capsys, cell):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("estimator", ["gamma", "glasso", "tlasso", "npn"])
+@pytest.mark.parametrize("rows, message", [
+    (["1.0", "2.0", "0.5", "3.0", "-1.0"], "need at least two variables"),
+    (["0.1,1e300", "0.7,-1e300", "-0.4,1e300", "0.2,-1e300"],
+     "column 1 spreads too wide: its variance overflows float64"),
+])
+def test_fit_path_unusable_data_exit_2_one_line(tmp_path, capsys, estimator, rows, message):
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join(rows) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(
+            ["fit", "--estimator", estimator, "--lambda-grid", "default",
+             "--input", str(path), "--out", str(tmp_path / "o"), "--quiet"]
+        )
+    assert code == 2
+    assert capsys.readouterr().err == f"estimation failed: {message}\n"
+
+
 def test_fit_nonconvergence_exit_2(simdir, tmp_path):
     out = tmp_path / "soft"
     code = run(

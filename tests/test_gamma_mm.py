@@ -24,7 +24,6 @@ from robustggm import (
     solution_path,
     solve,
     spd_factorize,
-    univariate_gamma_fit,
     weighted_scatter,
 )
 from robustggm import baselines, gamma_mm, objective
@@ -294,100 +293,79 @@ def test_majorization_bounds():
         assert touch == pytest.approx(ell1(X, theta_t, gamma), abs=1e-10)
 
 
-# --- univariate fit ---------------------------------------------------------------
+# --- diagonal start ---------------------------------------------------------------
 
-def grid_univariate_oracle(x, gamma, mus, sigmas):
-    """Brute-force minimizer of the univariate negative gamma-likelihood."""
-    best = (np.inf, None, None)
-    for m in mus:
-        for s in sigmas:
-            theta = ModelParams(mu=np.array([m]), omega=np.array([[1.0 / s]]))
-            val = neg_gamma_loglik(x[:, None], theta, gamma)
-            if val < best[0]:
-                best = (val, m, s)
-    return best
-
-
-def test_univariate_gamma_zero():
+def test_diagonal_start_gamma_zero_is_column_moments():
     rng = np.random.default_rng(14)
-    x = rng.standard_normal(50) * 2 + 1
-    res = univariate_gamma_fit(x, 0.0)
-    assert res.mu_j == pytest.approx(x.mean(), abs=1e-12)
-    assert res.sigma_jj == pytest.approx(x.var(), abs=1e-12)
+    X = rng.standard_normal((50, 3)) * [2.0, 0.5, 7.0] + [1.0, -3.0, 20.0]
+    theta, s_w, _ = diagonal_start(X, 0.0)
+    np.testing.assert_allclose(theta.mu, X.mean(axis=0), rtol=1e-14, atol=1e-14)
+    np.testing.assert_allclose(np.diag(s_w), X.var(axis=0), rtol=1e-14)
+    np.testing.assert_array_equal(theta.omega, np.diag(1.0 / np.diag(s_w)))
 
 
-def test_univariate_grid_oracle_generic():
+def test_diagonal_start_contamination_gets_negligible_weight():
     rng = np.random.default_rng(15)
-    x = np.concatenate([rng.normal(2.0, 1.5, 300), rng.normal(14.0, 1.0, 30)])
-    res = univariate_gamma_fit(x, 0.5)
-    mus = np.linspace(1.0, 3.0, 161)
-    sigmas = np.exp(np.linspace(np.log(0.5), np.log(8.0), 161))
-    _, m_star, s_star = grid_univariate_oracle(x, 0.5, mus, sigmas)
-    assert abs(res.mu_j - m_star) < 0.02
-    assert abs(res.sigma_jj - s_star) / s_star < 0.05
+    X = np.vstack([rng.normal(2.0, 1.5, (300, 2)), rng.normal(14.0, 1.0, (30, 2))])
+    theta, _, _ = diagonal_start(X, 0.5)
+    w = compute_weights(X, theta, 0.5)
+    assert w[300:].sum() < 1e-12
+    np.testing.assert_allclose(theta.mu, 2.0, atol=0.3)
 
 
-def test_univariate_outlier_mass_at_zero():
-    x = np.concatenate([np.zeros(99), [100.0]])
-    res = univariate_gamma_fit(x, 0.5)
-    assert abs(res.mu_j) < 0.05
-    # the grid oracle's location also sits at zero (scale collapses
-    # toward the grid floor on this degenerate configuration)
-    mus = np.linspace(-1.0, 1.0, 41)
-    sigmas = np.exp(np.linspace(np.log(1e-6), np.log(100.0), 61))
-    _, m_star, _ = grid_univariate_oracle(x, 0.5, mus, sigmas)
-    assert abs(m_star - res.mu_j) < 0.05
+def test_diagonal_start_symmetric_data_gives_its_centre():
+    d = np.array([[-3.0, 1.5], [-1.0, 0.5], [0.0, 0.0], [1.0, -0.5], [3.0, -1.5]])
+    theta, _, _ = diagonal_start(d + [5.0, -2.0], 0.4)
+    np.testing.assert_allclose(theta.mu, [5.0, -2.0], atol=1e-9)
 
 
-def test_univariate_symmetric_data():
-    x = np.array([-3.0, -1.0, 0.0, 1.0, 3.0]) + 5.0
-    res = univariate_gamma_fit(x, 0.4)
-    assert res.mu_j == pytest.approx(5.0, abs=1e-9)
-
-
-def test_univariate_degenerate_sample():
+def test_diagonal_start_degenerate_columns():
+    rng = np.random.default_rng(16)
+    X = rng.standard_normal((100, 2))
+    X[:, 1] = 3.3
     with pytest.raises(DegenerateSample):
-        univariate_gamma_fit(np.full(10, 3.3), 0.3)
+        diagonal_start(X, 0.3)
+    # a mostly tied column: the weights leave the one distinct row and the
+    # variance collapses, which is refused before it reaches 0 or NaN
+    X[:, 1] = 0.0
+    X[-1, 1] = 100.0
+    with pytest.raises(DegenerateScatter):
+        diagonal_start(X, 0.5)
+
+
+def test_diagonal_start_minimizes_over_diagonal_perturbations():
+    """At p = 2 the start is the minimizer of the negative gamma-likelihood
+    over diagonal precisions: no nearby diagonal parameter is lower."""
+    gamma = 0.5
+    for seed in range(3):
+        rng = np.random.default_rng(40 + seed)
+        X = np.vstack([rng.normal(2.0, 1.5, (300, 2)), rng.normal(14.0, 1.0, (30, 2))])
+        theta, _, _ = diagonal_start(X, gamma)
+        base = neg_gamma_loglik(X, theta, gamma)
+        sd = 1.0 / np.sqrt(np.diag(theta.omega))
+        for step in (1e-1, 1e-2, 1e-3):
+            for _ in range(50):
+                mu = theta.mu + step * sd * rng.standard_normal(2)
+                omega = np.diag(np.diag(theta.omega) * np.exp(step * rng.standard_normal(2)))
+                assert neg_gamma_loglik(X, ModelParams(mu=mu, omega=omega), gamma) >= base - 1e-13
 
 
 # --- carried squared deviations: the same floats as recentering every pass ----------
 
-def _recentering_univariate(x, gamma, tol=1e-12, max_iter=500):
-    mu = float(np.median(x))
-    mad = gamma_mm.MAD_CONSTANT * float(np.median(np.abs(x - mu)))
-    sigma = mad**2 if mad > 0 else float(x.var())
-    floor = 1e-15 * float(x.max() - x.min()) ** 2
-    for _ in range(max_iter):
-        w = exp_weights((x - mu) ** 2 / sigma + np.log(sigma), -0.5 * gamma)
-        mu_new = float(w @ x)
-        sigma_new = max((1.0 + gamma) * float(w @ (x - mu_new) ** 2), floor)
-        done = max(abs(mu_new - mu), abs(sigma_new - sigma)) <= tol * max(1.0, abs(mu), sigma)
-        mu, sigma = mu_new, sigma_new
-        if done:
-            break
-    return mu, sigma
-
-
-def _recentering_diagonal(X, mu, sig, weigh, scale, tol, max_iter):
-    for _ in range(max_iter):
+def _recentering_diagonal(X, weigh, scale):
+    seed = robust_init(X)
+    mu, sig = seed.mu, 1.0 / np.diag(seed.omega)
+    for _ in range(gamma_mm.DIAGONAL_MAX_PASSES):
         w = weigh(np.sum((X - mu) ** 2 / sig, axis=1), sig)
         mu_new = w @ X
         sig_new = scale * (w @ (X - mu_new) ** 2)
         done = max(
             np.max(np.abs(mu_new - mu)), np.max(np.abs(sig_new - sig))
-        ) <= tol * max(1.0, np.max(np.abs(mu)), np.max(sig))
+        ) <= gamma_mm.DIAGONAL_TOL * max(1.0, np.max(np.abs(mu)), np.max(sig))
         mu, sig = mu_new, sig_new
         if done:
             break
     return mu, weighted_scatter(X, mu, weigh(np.sum((X - mu) ** 2 / sig, axis=1), sig))
-
-
-@pytest.mark.parametrize("gamma", [0.0, 0.05, 0.5])
-def test_univariate_fit_equals_recentering_loop(gamma):
-    X, _, _ = mixture_24(seed=31, n=300)
-    for x in X.T.copy():  # contiguous columns, as univariate_gamma_fit makes them
-        res = univariate_gamma_fit(x, gamma)
-        assert (res.mu_j, res.sigma_jj) == _recentering_univariate(x, gamma)
 
 
 @pytest.mark.parametrize("rule", ["gamma", "tlasso"])
@@ -396,21 +374,17 @@ def test_diagonal_fixed_point_equals_recentering_loop(rule):
     p = X.shape[1]
     if rule == "gamma":
         gamma = 0.1
-        uni = [univariate_gamma_fit(X[:, j], gamma) for j in range(p)]
-        mu0 = np.array([u.mu_j for u in uni])
-        sig0 = np.array([u.sigma_jj for u in uni])
         scale = 1.0 + gamma
 
         def weigh(q, sig):
             return exp_weights(q + np.log(sig).sum(), -0.5 * gamma)
     else:
-        start = robust_init(X)
-        mu0, sig0, scale = start.mu, 1.0 / np.diag(start.omega), 1.0
+        scale = 1.0
 
         def weigh(q, sig):
             return baselines._t_weights(q, p, 1.0)
-    theta, s_w, lam1 = diagonal_fixed_point(X, mu0, sig0, weigh, scale, 1e-13, 2000)
-    ref_mu, ref_s = _recentering_diagonal(X, mu0, sig0, weigh, scale, 1e-13, 2000)
+    theta, s_w, lam1 = diagonal_fixed_point(X, weigh, scale)
+    ref_mu, ref_s = _recentering_diagonal(X, weigh, scale)
     assert np.array_equal(theta.mu, ref_mu)
     assert np.array_equal(s_w, ref_s)
     assert np.array_equal(theta.omega, np.diag(1.0 / (scale * np.diag(ref_s))))
