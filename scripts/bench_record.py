@@ -5,9 +5,14 @@
 
 For every workload and seed it runs the benchmark command that
 ``BENCHMARK.json`` declares (``python3 perfbench/run.py``) with
-``--trace 0`` and the declared run length, once in each checkout, from
-that checkout's root.  With several checkouts the order rotates from
-seed to seed, so that with two the side that runs first alternates.
+``--trace 0`` (or the ``--trace`` given) and the declared run length,
+once in each checkout, from that checkout's root.  The result line is
+parsed as strict JSON: a run whose last line holds ``NaN`` or
+``Infinity`` is recorded as having no result, as a strict reader of
+that line would fail on it.  Traced and untraced runs report different
+metrics, so record them in separate files.  With several checkouts the
+order rotates from seed to seed, so that with two the side that runs
+first alternates.
 Each run's parsed result line, the environment line and the
 host-clock line it printed are appended to the block of its checkout's
 label in the output file; runs already in the file are kept, and the
@@ -62,9 +67,14 @@ def source_id(checkout: Path) -> dict:
             "src_sha256": h.hexdigest()}
 
 
-def run_once(command: list, checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+def _refuse_non_finite(token: str):
+    raise ValueError(f"non-finite number {token} in the result line")
+
+
+def run_once(command: list, checkout: Path, workload: str, seed: int, seconds: int,
+             trace: int) -> dict:
     args = command + ["--workload", workload, "--seed", str(seed),
-                      "--seconds", str(seconds), "--trace", "0"]
+                      "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(args, cwd=checkout, capture_output=True, text=True)
     run = {"workload": workload, "seed": seed, "exit_code": proc.returncode}
     lines = proc.stdout.strip().splitlines()
@@ -74,9 +84,10 @@ def run_once(command: list, checkout: Path, workload: str, seed: int, seconds: i
         elif line.startswith("on the host's own clock: "):
             run["host_clock"] = line[len("on the host's own clock: "):]
     try:
-        run["result"] = json.loads(lines[-1])
-    except (IndexError, json.JSONDecodeError):
+        run["result"] = json.loads(lines[-1], parse_constant=_refuse_non_finite)
+    except (IndexError, ValueError) as exc:  # JSONDecodeError is a ValueError
         run["result"] = None
+        run["result_error"] = repr(exc)
         run["stderr_tail"] = proc.stderr.strip().splitlines()[-20:]
     return run
 
@@ -125,6 +136,8 @@ def main() -> int:
     ap.add_argument("--seeds", type=parse_seeds, required=True, help="e.g. 101-110 or 1,4,9")
     ap.add_argument("--checkout", type=parse_checkout, action="append", required=True,
                     help="LABEL=PATH of a source checkout; repeatable")
+    ap.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                    help="passed to the benchmark command (default 0)")
     args = ap.parse_args()
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -140,7 +153,7 @@ def main() -> int:
         for i, seed in enumerate(args.seeds):
             k = i % len(checkouts)
             for label, path in checkouts[k:] + checkouts[:k]:
-                run = run_once(command, path, workload, seed, spec["run_seconds"])
+                run = run_once(command, path, workload, seed, spec["run_seconds"], args.trace)
                 doc["blocks"][label]["runs"].append(run)
                 doc["summary"] = summarize(doc["blocks"], better)
                 args.out.write_text(json.dumps(doc, indent=1) + "\n")

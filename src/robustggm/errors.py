@@ -44,7 +44,8 @@ class MaxSweepsExceeded(RobustGgmError):
 
 class DegenerateScatter(RobustGgmError):
     """The weighted scatter matrix collapsed (a diagonal entry is zero),
-    typically because the weights concentrated on a single observation."""
+    typically because the weights concentrated on a single observation,
+    or it is singular where lambda = 0 needs it positive definite."""
 
 
 class DegenerateSample(RobustGgmError):

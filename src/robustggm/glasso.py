@@ -6,11 +6,15 @@ problem is first rescaled to the standard kappa = 1 form, then each
 column of Omega is updated in fixed ascending order by an inner cyclic
 coordinate-descent lasso whose Gram matrix is the corresponding block
 inverse, recovered in O(p^2) from the maintained (Omega, Sigma) pair.
-After each coordinate-descent pass the inner lasso tries the exact
-solution on the pass's signed support (one positive-definite linear
-solve) and keeps it only if it satisfies the lasso's KKT conditions,
-which makes it the subproblem's global minimizer (the active-set
-finish of Osborne, Presnell & Turlach, IMA J. Numer. Anal. 2000).
+The inner lasso first tries the exact solution on the signed support
+of its warm start, the column as it stands (one positive-definite
+linear solve), and keeps it only if it satisfies the lasso's KKT
+conditions, which makes it the subproblem's global minimizer (the
+active-set finish of Osborne, Presnell & Turlach, IMA J. Numer. Anal.
+2000).  Only when that fails does it run a coordinate-descent pass, and
+it tries again on that pass's signed support.  Near a solution of the
+outer problem the columns' supports settle, so most column updates are
+one linear solve and no pass.
 
 The sweep loop has the same kind of finish.  When a sweep leaves the
 signed off-diagonal support E of Omega unchanged (the warm start is the
@@ -29,8 +33,8 @@ higher than the sweep iterate's; otherwise sweeping goes on from the
 coordinate-descent iterate.
 
 Every column update decreases the objective, since it never ends at a
-higher subproblem objective than the coordinate-descent iterate, and
-every iterate is positive definite by construction (any column update
+higher subproblem objective than the column it starts from, and every
+iterate is positive definite by construction (any column update
 keeps the Schur complement at 1/s_jj > 0), so recorded objective traces
 are monotone.
 A solution is only returned once the KKT residual clears the requested
@@ -45,12 +49,13 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import (
+    DegenerateScatter,
     DimensionMismatch,
     MaxSweepsExceeded,
     NonPositiveDiagonal,
     NotPositiveDefinite,
 )
-from .matcore import inv_spd, require_symmetric, spd_factorize, symmetrize
+from .matcore import inv_spd, require_symmetric, spd_factorize
 
 
 @dataclass(frozen=True)
@@ -147,18 +152,24 @@ def _lasso_cd(A, w12, c, t, inner_tol, max_passes=250):
     definite, warm-started at w12 (updated in place).  Returns
     r = A @ w12 at exit.
 
-    Cyclic coordinate descent is the core.  After every pass that has
-    not met ``inner_tol`` the exact minimizer on the pass's signed
-    support is tried (:func:`_signed_support_solution`); it ends the
-    loop only if it passes the subproblem's KKT conditions, and is then
-    the unique global minimizer, so the result never has a higher
-    subproblem objective than the coordinate-descent iterate it
-    replaces.  Otherwise descent goes on from its own iterate.
+    Before every pass of cyclic coordinate descent, the first one too,
+    the exact minimizer on the current signed support is tried
+    (:func:`_signed_support_solution`): the warm start's first, then
+    each pass's.  It ends the loop only if it passes the subproblem's
+    KKT conditions, and is then the unique global minimizer, so the
+    result never has a higher subproblem objective than the warm start
+    or any coordinate-descent iterate.  Otherwise a pass runs, and the
+    loop ends once a pass changes no coordinate by more than
+    ``inner_tol``.
     """
     r = A @ w12
     m = w12.shape[0]
     adiag = np.diag(A).copy()
     for _ in range(max_passes):
+        exact = _signed_support_solution(A, w12, c, t)
+        if exact is not None:
+            w12[:] = exact
+            break
         delta_max = 0.0
         for k in range(m):
             old = w12[k]
@@ -175,10 +186,6 @@ def _lasso_cd(A, w12, c, t, inner_tol, max_passes=250):
                 r += A[:, k] * d
                 delta_max = max(delta_max, abs(d))
         if delta_max <= inner_tol:
-            break
-        exact = _signed_support_solution(A, w12, c, t)
-        if exact is not None:
-            w12[:] = exact
             break
     return A @ w12  # recompute exactly; incremental r accumulates dust
 
@@ -349,10 +356,24 @@ def solve(
         Carries the last iterate and its KKT residual.
     NonPositiveDiagonal
         If s has a non-positive diagonal entry.
+    DegenerateScatter
+        If lam = 0 and s is singular: the problem then has no minimizer.
     """
     std = reduce_to_standard(p)
     S, lam = std.s, std.lam
     n = std.dim
+    if lam == 0.0:
+        # unpenalized, a minimizer exists only for positive-definite S; a
+        # Cholesky pivot at rounding level relative to its s_kk counts as 0
+        low, info = lapack.dpotrf(S, lower=1, clean=1)
+        ok = np.diag(low) ** 2 > n * np.finfo(float).eps * np.diag(S)
+        if info > 0:
+            ok[info - 1:] = False
+        if not ok.all():
+            raise DegenerateScatter(
+                f"lambda = 0 needs a positive-definite scatter, and this one is "
+                f"singular (Cholesky pivot {int(np.argmin(ok))}); use lambda > 0"
+            )
     if kkt_tol is None:
         kkt_tol = tol
 
@@ -391,8 +412,12 @@ def solve(
             # scatter through the flat view, built per column (O(p^2))
             grid = idx[:, None] * n + idx
             s12 = sigma[idx, j]
+            # Sigma and Omega stay exactly symmetric with no symmetrizing
+            # step: inv_spd returns Sigma symmetric, (a, b) and (b, a) of
+            # the outer products below are the same IEEE products, and
+            # the update writes Omega's and Sigma's row j and column j
+            # from the same vectors.
             A = sigma_flat[grid] - s12[:, None] * s12 / sigma[j, j]
-            A = symmetrize(A)
             w12 = omega[idx, j].copy()
             c = S[idx, j] / sdiag[j]
             t = lam / sdiag[j]
@@ -412,7 +437,7 @@ def solve(
             res = kkt_residual(omega, std)
             if res < kkt_tol:
                 return GlassoSolution(
-                    omega=symmetrize(omega),
+                    omega=omega,
                     iterations=sweeps,
                     kkt_residual=res,
                     objective_trace=tuple(trace) if record_trace else None,
@@ -441,4 +466,4 @@ def solve(
             newton_steps=steps,
         )
     res = kkt_residual(omega, std)
-    raise MaxSweepsExceeded(omega=symmetrize(omega), residual=res, sweeps=max_sweeps)
+    raise MaxSweepsExceeded(omega=omega, residual=res, sweeps=max_sweeps)

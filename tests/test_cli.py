@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 import warnings
 
@@ -175,6 +176,25 @@ def test_fit_path_unusable_data_exit_2_one_line(tmp_path, capsys, estimator, row
         )
     assert code == 2
     assert capsys.readouterr().err == f"estimation failed: {message}\n"
+
+
+@pytest.mark.parametrize("estimator", ["gamma", "glasso", "tlasso", "npn"])
+def test_fit_unpenalized_singular_scatter_exit_2_at_once(tmp_path, estimator):
+    """n = 8 rows of p = 12 variables: every estimator's scatter is
+    singular, so lambda = 0 has no solution.  The fit says so at its
+    first solve instead of sweeping to the solver's limit (about 40 s)."""
+    sim = tmp_path / "sim"
+    assert run(["simulate", "--model", "ii", "--p", "12", "--n", "8", "--seed", "3",
+                "--out", str(sim), "--quiet"]) == 0
+    out = tmp_path / "fit"
+    start = time.monotonic()
+    code = run(["fit", "--estimator", estimator, "--lambda", "0",
+                "--input", str(sim / "data.csv"), "--out", str(out), "--quiet"])
+    assert time.monotonic() - start < 10.0
+    assert code == 2
+    status = json.loads((out / "fit.json").read_text())["fits"][0]["status"]
+    assert status.startswith("error: lambda = 0 needs a positive-definite scatter, "
+                             "and this one is singular")
 
 
 def test_fit_nonconvergence_exit_2(simdir, tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustggm import (
+    DegenerateScatter,
     GlassoProblem,
     glasso,
     simgen,
@@ -18,7 +19,8 @@ from robustggm import (
     reduce_to_standard,
     solve,
 )
-from robustggm.glasso import _lasso_cd, _support_newton
+from robustggm.glasso import _lasso_cd, _signed_support_solution, _support_newton
+from robustggm.matcore import require_symmetric
 from conftest import random_spd
 
 
@@ -171,6 +173,38 @@ def test_max_sweeps_carries_iterate():
     assert exc.value.sweeps == 1
 
 
+def test_unpenalized_singular_scatter_refused_at_once():
+    """At lam = 0 a singular S has no minimizer: the solve refuses it
+    before its first sweep, naming the cause, for an S whose Cholesky
+    breaks down and for one whose last pivot is rounding noise."""
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((4, 6))
+    a = np.nextafter(1.0, 0.0)  # [[1, a], [a, 1]] factors, with pivot 2^-52
+    for s in (X.T @ X / 4, np.array([[1.0, a], [a, 1.0]])):
+        with pytest.raises(DegenerateScatter, match="lambda = 0 needs a positive-definite"):
+            solve(GlassoProblem(s=s, lam=0.0))
+        solve(GlassoProblem(s=s, lam=0.5))  # penalized, the same S is fine
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(2, 7),
+    lam_scale=st.floats(0.02, 0.9),
+    kind=st.sampled_from(["cold", "other_lambda", "flipped"]),
+)
+def test_solve_iterates_exactly_symmetric(seed, p, lam_scale, kind):
+    """Omega stays exactly symmetric with no symmetrizing step: the
+    returned solution, and the iterate MaxSweepsExceeded carries."""
+    rng = np.random.default_rng(seed)
+    prob = random_problem(rng, p, lam_scale=lam_scale)
+    init = warm_start(rng, prob, kind)
+    require_symmetric(solve(prob, init=init).omega)
+    with pytest.raises(MaxSweepsExceeded) as exc:
+        solve(prob, init=init, max_sweeps=1, kkt_tol=0.0)
+    require_symmetric(exc.value.omega)
+
+
 # --- kkt_residual ------------------------------------------------------------
 
 def test_kkt_after_solve_tight():
@@ -230,10 +264,48 @@ def lasso_subproblem(seed, m):
     return A, c, t, w0
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12))
-def test_lasso_cd_meets_kkt_and_matches_plain_cd(seed, m):
+def lasso_objective(A, c, t, w):
+    return 0.5 * float(w @ A @ w) + float(c @ w) + t * float(np.abs(w).sum())
+
+
+def test_lasso_cd_on_the_optimal_signs_is_the_support_solve():
+    """A warm start with the optimal signs ends at the exact solve on its
+    support, before any coordinate-descent pass: even a tolerance that
+    one pass would meet leaves the result bit-identical to that solve."""
+    cases = 0
+    for seed in range(20):
+        A, c, t, _ = lasso_subproblem(seed, 8)
+        signs = np.sign(plain_lasso_cd(A, c, t))
+        w = signs * np.random.default_rng(seed).uniform(0.1, 2.0, 8)
+        exact = _signed_support_solution(A, w, c, t)
+        if exact is None:  # a sign at rounding level; no exact solve to match
+            continue
+        cases += 1
+        _lasso_cd(A, w, c, t, inner_tol=1e30)
+        np.testing.assert_array_equal(w, exact)
+    assert cases >= 15
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 12),
+    kind=st.sampled_from(["sparse", "zero", "optimal_signs", "flipped"]),
+)
+def test_lasso_cd_meets_kkt_and_matches_plain_cd(seed, m, kind):
+    """From a random sparse warm start, zero, one on the optimal signs,
+    or one with a sign flipped: the result meets the KKT conditions,
+    matches plain coordinate descent and never ends above the start."""
     A, c, t, w = lasso_subproblem(seed, m)
+    rng = np.random.default_rng(seed)
+    if kind != "sparse":
+        w = np.sign(plain_lasso_cd(A, c, t)) * rng.uniform(0.1, 2.0, m)
+    if kind == "zero":
+        w[:] = 0.0
+    elif kind == "flipped":  # one sign flipped, or a zero moved onto the support
+        k = rng.integers(0, m)
+        w[k] = -w[k] if w[k] else 1.0
+    start = lasso_objective(A, c, t, w)
     r = _lasso_cd(A, w, c, t, inner_tol=1e-12)
     np.testing.assert_array_equal(r, A @ w)
     g = c + A @ w
@@ -241,6 +313,7 @@ def test_lasso_cd_meets_kkt_and_matches_plain_cd(seed, m):
     assert np.all(np.abs(g[on] + t * np.sign(w[on])) <= 1e-9)
     assert np.all(np.abs(g[~on]) <= t + 1e-9)
     assert np.max(np.abs(w - plain_lasso_cd(A, c, t))) <= 1e-8
+    assert lasso_objective(A, c, t, w) <= start
 
 
 @settings(max_examples=25, deadline=None)
@@ -379,25 +452,63 @@ def test_warm_start_on_the_right_support_finishes_after_one_sweep():
     assert cases >= 5
 
 
-def test_study_p25_sweep_count(monkeypatch):
-    """Work-count regression on the acceptance replicate (p=25, n=200,
-    model ii, replicate 0 of seed 42): all four paths together took
-    1,330 sweeps before the Newton finish and 356 with it."""
-    solve_ = glasso.solve
-    sweeps = []
+@pytest.fixture(scope="module")
+def study_p25_work():
+    """All four paths on the acceptance replicate (p=25, n=200, model
+    ii, replicate 0 of seed 42), counting each solve's sweeps, the
+    column updates, and the updates whose first support solve, on the
+    unchanged warm start, was accepted."""
+    solve_, lasso_cd, support = glasso.solve, glasso._lasso_cd, _signed_support_solution
+    work = {"sweeps": [], "updates": 0, "warm_accepted": 0}
+    warm = []  # the current update's warm start, until its first support solve
 
-    def counted(*args, **kw):
+    def counted_solve(*args, **kw):
         sol = solve_(*args, **kw)
-        sweeps.append(sol.iterations)
+        work["sweeps"].append(sol.iterations)
         return sol
 
-    monkeypatch.setattr(glasso, "solve", counted)
+    def counted_lasso_cd(A, w12, c, t, *args, **kw):
+        work["updates"] += 1
+        warm[:] = [w12.copy()]
+        return lasso_cd(A, w12, c, t, *args, **kw)
+
+    def counted_support(A, w, c, t):
+        x = support(A, w, c, t)
+        if warm and x is not None and np.array_equal(w, warm[0]):
+            work["warm_accepted"] += 1
+        warm.clear()
+        return x
+
     spec = simgen.SimSpec(p=25, n=200, model="ii", epsilon=0.1, eta=5.0, ba_m=1,
                           seed=simgen.replicate_seed(42, 0))
     X, _, _ = simgen.generate(spec)
-    for est in study.ESTIMATORS:
-        path = study.fit_path(est, X, gamma=0.05, nu=1.0, delta_n="auto", K=10,
-                              delta=0.2, tol=1e-7, max_iter=200)
-        assert set(path.statuses) == {"ok"}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(glasso, "solve", counted_solve)
+        mp.setattr(glasso, "_lasso_cd", counted_lasso_cd)
+        mp.setattr(glasso, "_signed_support_solution", counted_support)
+        work["statuses"] = [
+            study.fit_path(est, X, gamma=0.05, nu=1.0, delta_n="auto", K=10,
+                           delta=0.2, tol=1e-7, max_iter=200).statuses
+            for est in study.ESTIMATORS
+        ]
+    return work
+
+
+def test_study_p25_sweep_count(study_p25_work):
+    """Work-count regression on the acceptance replicate: all four
+    paths together took 1,330 sweeps before the Newton finish and 356
+    with it."""
+    assert all(set(statuses) == {"ok"} for statuses in study_p25_work["statuses"])
+    sweeps = study_p25_work["sweeps"]
     assert len(sweeps) == 200
     assert sum(sweeps) <= 500
+
+
+def test_study_p25_updates_end_at_the_warm_starts_support_solve(study_p25_work):
+    """On the acceptance replicate 8,114 of the 8,900 column updates
+    (91%) end at the exact solve on the warm start's signed support,
+    with no coordinate-descent pass; trying that solve only after a
+    pass, none would."""
+    work = study_p25_work
+    assert work["updates"] > 0
+    assert work["warm_accepted"] >= 0.85 * work["updates"]
