@@ -156,12 +156,14 @@ def tlasso_path(
     X: np.ndarray, nu: float, K: int = 10, delta: float = 0.2, max_iter: int = 200
 ) -> SolutionPath:
     """Warm-started tlasso fits on the geometric grid below tlasso's own
-    lambda_max, the first from its diagonal EM fixed point."""
+    lambda_max.  The first point is its diagonal EM fixed point, with no
+    EM step (see :func:`~robustggm.gamma_mm.warm_path`)."""
     theta0, _, lam1 = tlasso_diagonal_start(X, nu)
     return warm_path(
-        geometric_grid(lam1, K, delta), theta0,
-        lambda lam, theta: fit_tlasso(
-            X, TlassoConfig(nu=nu, lam=lam, max_iter=max_iter), init=theta
+        geometric_grid(lam1, K, delta),
+        fit_tlasso(X, TlassoConfig(nu=nu, lam=lam1, max_iter=0), init=theta0),
+        lambda lam, last: fit_tlasso(
+            X, TlassoConfig(nu=nu, lam=lam, max_iter=max_iter), init=last.theta
         ),
     )
 
@@ -222,10 +224,14 @@ def _npn_solve(mu, s, n: int, lam: float, start: ModelParams | None = None) -> F
     """Graphical lasso on ``s``, cold or warm from ``start``; uniform weights."""
     problem = glasso.GlassoProblem(s=s, lam=lam)
     sol = glasso.solve(problem, init=None if start is None else start.omega)
+    return _npn_result(mu, sol.omega, problem, n, sol.iterations)
+
+
+def _npn_result(mu, omega, problem: glasso.GlassoProblem, n: int, sweeps: int) -> FitResult:
     return FitResult(
-        theta=ModelParams(mu=mu, omega=sol.omega), weights=np.full(n, 1.0 / n),
-        objective_trace=(glasso.glasso_objective(sol.omega, problem),), converged=True,
-        mm_iterations=sol.iterations,
+        theta=ModelParams(mu=mu, omega=omega), weights=np.full(n, 1.0 / n),
+        objective_trace=(glasso.glasso_objective(omega, problem),), converged=True,
+        mm_iterations=sweeps,
     )
 
 
@@ -238,12 +244,14 @@ def fit_nonparanormal(X: np.ndarray, cfg: NpnConfig) -> FitResult:
 
 def npn_path(X: np.ndarray, cfg: NpnConfig, K: int = 10, delta: float = 0.2) -> SolutionPath:
     """Graphical lasso path on the data transformed and reduced to its
-    scatter once, below that scatter's largest off-diagonal entry (where
-    the support empties).  The first point is solved cold, as by
-    :func:`fit_nonparanormal`, the rest warm.  ``cfg.lam`` is unused."""
+    scatter once, below that scatter's largest off-diagonal entry lam1
+    (where the support empties).  The first point is diag(1 / s_jj), the
+    solution at lam1, with no solve; the rest are solved warm, one solve
+    per point.  ``cfg.lam`` is unused."""
     Z = npn_transform(X, cfg)
     mu, s = _npn_scatter(Z, cfg.use_correlation)
+    n, lam1 = Z.shape[0], offdiag_absmax(s)
+    first = _npn_result(mu, np.diag(1.0 / np.diag(s)), glasso.GlassoProblem(s=s, lam=lam1), n, 0)
     return warm_path(
-        geometric_grid(offdiag_absmax(s), K, delta), None,
-        lambda lam, theta: _npn_solve(mu, s, Z.shape[0], lam, theta),
+        geometric_grid(lam1, K, delta), first, lambda lam, last: _npn_solve(mu, s, n, lam, last.theta)
     )

@@ -173,8 +173,7 @@ def run_fit(args) -> int:
     config = {
         "command": "fit", "estimator": args.estimator, "input": str(args.input),
         "normalize": args.normalize, "gamma": args.gamma, "nu": args.nu,
-        "delta_n": args.delta_n, "seed": args.seed, "tol": args.tol,
-        "max_iter": args.max_iter,
+        "delta_n": args.delta_n, "tol": args.tol, "max_iter": args.max_iter,
     }
     kw = dict(
         gamma=args.gamma, nu=args.nu, delta_n=_parse_delta_n(args.delta_n),
@@ -399,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--nu", type=float, default=1.0)
     fit.add_argument("--delta-n", default="auto")
     fit.add_argument("--normalize", choices=("none", "sd", "mad"), default="none")
-    fit.add_argument("--seed", type=int, default=0)
     fit.add_argument("--tol", type=float, default=1e-7)
     fit.add_argument("--max-iter", type=int, default=200)
     fit.add_argument("--quiet", action="store_true")

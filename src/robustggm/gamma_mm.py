@@ -20,7 +20,7 @@ data shared read-only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,8 +82,6 @@ def compute_weights(X: np.ndarray, theta: ModelParams, gamma: float) -> np.ndarr
         raise EmptyDataset("need at least one observation")
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
-    if gamma == 0.0:
-        return np.full(X.shape[0], 1.0 / X.shape[0])
     return exp_weights(log_density(X, theta), gamma)
 
 
@@ -158,31 +156,30 @@ def mm_step(
     X: np.ndarray,
     theta_t: ModelParams,
     cfg: RobustConfig,
-    weights: np.ndarray | None = None,
+    weights: np.ndarray,
     centered: np.ndarray | None = None,
-) -> tuple[ModelParams, np.ndarray]:
+) -> ModelParams:
     """One majorize-minimize step from ``theta_t``.
 
-    Weights are computed at theta_t (``weights``, when given, must be
-    those: :func:`fit` passes them from the log-density it already
-    holds); the location update is their weighted mean; the precision
-    update solves the graphical lasso on the weighted scatter with
-    log-determinant coefficient 1/(1+gamma), warm-started at the
-    current precision, to :func:`glasso.solve`'s default tolerance.
+    ``weights`` are the gamma weights at theta_t (:func:`compute_weights`;
+    :func:`fit` passes them from the log-density it already holds); the
+    location update is their weighted mean; the precision update solves
+    the graphical lasso on the weighted scatter with log-determinant
+    coefficient 1/(1+gamma), warm-started at the current precision, to
+    :func:`glasso.solve`'s default tolerance.
     ``centered``, when given, is an array shaped like X that receives the
     rows the scatter is formed from, X - mu_{t+1}: :func:`fit` evaluates
     the new iterate's log-density on them.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    w = compute_weights(X, theta_t, cfg.gamma) if weights is None else weights
-    mu_next = w @ X
+    mu_next = weights @ X
     d = np.subtract(X, mu_next, out=centered)
-    s_w = _check_scatter(weighted_scatter(X, mu_next, w, centered=d))
+    s_w = _check_scatter(weighted_scatter(X, mu_next, weights, centered=d))
     problem = glasso.GlassoProblem(
         s=s_w, lam=cfg.lam, logdet_scale=1.0 / (1.0 + cfg.gamma)
     )
     sol = glasso.solve(problem, init=theta_t.omega)
-    return ModelParams(mu=mu_next, omega=sol.omega), w
+    return ModelParams(mu=mu_next, omega=sol.omega)
 
 
 def fit(
@@ -198,8 +195,9 @@ def fit(
 
     Stops when the relative change of the penalized objective falls
     below ``tol`` (the objective is the monotone quantity; parameter
-    stagnation is not required).  Exceeding ``max_iter`` is a soft
-    failure: the result is returned with ``converged=False``.
+    stagnation is not required), and at gamma = 0 after one step.
+    Exceeding ``max_iter`` is a soft failure: the result is returned
+    with ``converged=False`` (``max_iter=0`` evaluates ``init``).
 
     Each iterate's log-density is evaluated once, on the rows its MM
     step centered for the weighted scatter; its objective, the next
@@ -220,17 +218,16 @@ def fit(
     iterations = 0
     centered = np.empty_like(X)  # X - mu of the latest iterate, refilled by each step
     for _ in range(max_iter):
-        theta, _ = mm_step(
-            X, theta, cfg, weights=exp_weights(logf, cfg.gamma), centered=centered
-        )
+        theta = mm_step(X, theta, cfg, exp_weights(logf, cfg.gamma), centered=centered)
         iterations += 1
         logf = log_density(X, theta, centered=centered)
         new_obj = penalized_gamma_objective_logf(logf, theta.omega, cfg)
         trace.append(new_obj)
         if keep_iterates:
             iterates.append(theta)
-        if abs(new_obj - obj) <= tol * max(1.0, abs(obj)):
-            obj = new_obj
+        # at gamma = 0 the weights are uniform whatever theta is, so the
+        # surrogate is the objective itself and the step's solve minimized it
+        if cfg.gamma == 0.0 or abs(new_obj - obj) <= tol * max(1.0, abs(obj)):
             converged = True
             break
         obj = new_obj
@@ -261,9 +258,9 @@ def diagonal_fixed_point(X: np.ndarray, weigh, scale: float) -> tuple[ModelParam
     q_i = sum_j (x_ij - mu_j)^2 / sig_j, their weighted mean, and the
     weighted variances times ``scale`` (the estimator's 1/kappa), until
     no entry of (mu, sig) moves by more than :data:`DIAGONAL_TOL` of the
-    largest (or of 1), for at most :data:`DIAGONAL_MAX_PASSES` passes.
-    Returns (theta, S_w, lam1).  The estimator's precision step solves
-    the graphical lasso on S_w, the weighted scatter there, so for
+    largest (or of 1), within :data:`DIAGONAL_MAX_PASSES` passes or it
+    raises.  Returns (theta, S_w, lam1).  The estimator's precision step
+    solves the graphical lasso on S_w, the weighted scatter there, so for
     lam >= lam1 = max_{j != k} |S_w[j, k]| it is stationary at theta.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -287,6 +284,8 @@ def diagonal_fixed_point(X: np.ndarray, weigh, scale: float) -> tuple[ModelParam
         mu, sig = mu_new, sig_new
         if done:
             break
+    else:
+        raise RobustGgmError(f"the diagonal start did not settle in {DIAGONAL_MAX_PASSES} passes")
     s_w = weighted_scatter(X, mu, weigh(np.sum(np.divide(dev2, sig, out=dev2), axis=1), sig))
     theta = ModelParams(mu=mu, omega=np.diag(1.0 / (scale * np.diag(s_w))))
     return theta, s_w, offdiag_absmax(s_w)
@@ -318,25 +317,24 @@ def geometric_grid(lam1: float, K: int, delta: float) -> np.ndarray:
     return lam1 * delta ** (np.arange(K) / (K - 1))
 
 
-def warm_path(
-    lambdas: np.ndarray, theta0: ModelParams | None, fit_at
-) -> SolutionPath:
-    """Run ``fit_at(lam, start)`` down the grid from ``theta0``, each
-    point starting at the last successful estimate.  A RobustGgmError
-    at a point makes its status "error: ..." and its fit None, and the
-    path goes on; other statuses are "ok" and "max_iter"."""
-    fits, statuses = [], []
-    theta = theta0
-    for lam in lambdas:
+def warm_path(lambdas: np.ndarray, first: FitResult, fit_at) -> SolutionPath:
+    """The first point is ``first``, the path's diagonal start at lambdas[0]
+    with no step taken: the step would return it, so it is converged.  Then
+    ``fit_at(lam, last)`` runs down lambdas[1:], ``last`` the latest
+    successful fit; a RobustGgmError at a point makes its status "error: ..."
+    and its fit None, and the path goes on (other statuses: "ok", "max_iter")."""
+    last = replace(first, converged=True)
+    fits, statuses = [last], ["ok"]
+    for lam in lambdas[1:]:
         try:
-            res = fit_at(float(lam), theta)
+            res = fit_at(float(lam), last)
         except RobustGgmError as exc:
             fits.append(None)
             statuses.append(f"error: {exc}")
             continue
         fits.append(res)
         statuses.append("ok" if res.converged else "max_iter")
-        theta = res.theta
+        last = res
     return SolutionPath(lambdas=lambdas, fits=tuple(fits), statuses=tuple(statuses))
 
 
@@ -350,23 +348,19 @@ def solution_path(
 ) -> SolutionPath:
     """Fit a warm-started path over lam_k = lam1 * delta^((k-1)/(K-1)).
 
-    lam1 and the first point's start come from :func:`diagonal_start`,
-    the diagonal fixed point run from the median and adjusted MAD (so
-    the first support is empty); each later point starts from its
-    predecessor's estimate,
-    and from the log-density its predecessor ended with there.
+    lam1 and the first point, with no MM step, come from
+    :func:`diagonal_start`, the diagonal fixed point run from the median
+    and adjusted MAD; each later point starts from its predecessor's
+    estimate, and from the log-density its predecessor ended with there.
     Estimation errors are recorded per point (see :func:`warm_path`).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     theta0, _, lam1 = diagonal_start(X, gamma)
-    last = None  # the latest successful fit, whose estimate warm_path starts the next at
-
-    def fit_at(lam: float, theta: ModelParams) -> FitResult:
-        nonlocal last
-        last = fit(
-            X, RobustConfig(gamma=gamma, lam=lam), init=theta, tol=tol, max_iter=max_iter,
-            init_logf=None if last is None else last.logf,
-        )
-        return last
-
-    return warm_path(geometric_grid(lam1, K, delta), theta0, fit_at)
+    return warm_path(
+        geometric_grid(lam1, K, delta),
+        fit(X, RobustConfig(gamma=gamma, lam=lam1), init=theta0, max_iter=0),
+        lambda lam, last: fit(
+            X, RobustConfig(gamma=gamma, lam=lam), init=last.theta, tol=tol,
+            max_iter=max_iter, init_logf=last.logf,
+        ),
+    )

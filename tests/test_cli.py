@@ -5,10 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
-from robustggm import baselines, cli, fileio, glasso, study
+from robustggm import baselines, cli, fileio, gamma_mm, glasso, simgen, study
 from robustggm.errors import DegenerateScatter, MaxSweepsExceeded
 from robustggm.fileio import read_csv, write_csv
 from robustggm.metrics import edge_set
+from robustggm.objective import ModelParams
 from conftest import mixture_24
 
 
@@ -65,7 +66,7 @@ def test_fit_default_grid_first_row_empty(simdir, tmp_path):
     code = run(
         ["fit", "--estimator", "gamma", "--gamma", "0.1",
          "--lambda-grid", "default", "--input", str(simdir / "data.csv"),
-         "--normalize", "mad", "--seed", "7", "--out", str(out), "--quiet"]
+         "--normalize", "mad", "--out", str(out), "--quiet"]
     )
     assert code == 0
     rows = (out / "path.tsv").read_text().strip().split("\n")
@@ -82,8 +83,7 @@ def test_fit_default_grid_first_row_empty(simdir, tmp_path):
 def test_fit_byte_identical_reruns(simdir, tmp_path):
     a, b = tmp_path / "fa", tmp_path / "fb"
     args = ["fit", "--estimator", "gamma", "--gamma", "0.1",
-            "--lambda-grid", "default", "--input", str(simdir / "data.csv"),
-            "--seed", "7", "--quiet"]
+            "--lambda-grid", "default", "--input", str(simdir / "data.csv"), "--quiet"]
     assert run(args + ["--out", str(a)]) == 0
     assert run(args + ["--out", str(b)]) == 0
     assert (a / "fit.json").read_bytes() == (b / "fit.json").read_bytes()
@@ -209,13 +209,12 @@ def test_fit_nonconvergence_exit_2(simdir, tmp_path):
 
 def test_fit_grid_point_failure_exit_2_with_artifacts(simdir, tmp_path, monkeypatch):
     # every solve at the second grid point's penalty fails
-    seen = []
+    lam1 = baselines.tlasso_diagonal_start(read_csv(simdir / "data.csv"), 1.0)[2]
+    second = float(gamma_mm.geometric_grid(lam1, 4, 0.3)[1])
     orig = glasso.solve
 
     def failing(problem, **kw):
-        if problem.lam not in seen:
-            seen.append(problem.lam)
-        if len(seen) > 1 and problem.lam == seen[1]:
+        if problem.lam == second:
             raise MaxSweepsExceeded(problem.s, 1.0, 0)
         return orig(problem, **kw)
 
@@ -232,6 +231,19 @@ def test_fit_grid_point_failure_exit_2_with_artifacts(simdir, tmp_path, monkeypa
     assert "omega" not in doc["fits"][1]
     assert statuses[0] == statuses[2] == statuses[3] == "ok"
     assert (out / "path.tsv").exists()
+
+
+@pytest.mark.parametrize("estimator", ["gamma", "glasso", "tlasso"])
+def test_fit_unsettled_diagonal_start_exit_2(simdir, tmp_path, monkeypatch, capsys, estimator):
+    # a diagonal start short of its fixed point would pass as the path's first point
+    monkeypatch.setattr(gamma_mm, "DIAGONAL_MAX_PASSES", 1)
+    code = run(
+        ["fit", "--estimator", estimator, "--lambda-grid", "default",
+         "--input", str(simdir / "data.csv"), "--out", str(tmp_path / "o"), "--quiet"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "diagonal start did not settle in 1 passes" in err[0]
 
 
 def test_fit_missing_lambda_exit_1(simdir, tmp_path):
@@ -504,6 +516,30 @@ def test_fit_path_shape(estimator):
     assert len(edge_set(path.fits[0].theta.omega)) == 0
     assert np.all(np.diff(path.lambdas) < 0)
     assert path.lambdas[-1] == 0.2 * path.lambdas[0]
+
+
+def test_fit_path_first_point_is_the_start():
+    # replicate 1 of the acceptance bench, where re-fitting the start left
+    # off-diagonal roundoff at the first gamma and tlasso points
+    spec = simgen.SimSpec(p=25, n=200, model="ii", epsilon=0.1, eta=5.0, ba_m=1,
+                          seed=simgen.replicate_seed(42, 1))
+    X, _, _ = simgen.generate(spec)
+    kw = dict(PATH_KW, gamma=0.05)
+    mu, s = baselines._npn_scatter(baselines.npn_transform(X, baselines.NpnConfig()), False)
+    starts = {
+        "gamma": gamma_mm.diagonal_start(X, 0.05)[0],
+        "glasso": gamma_mm.diagonal_start(X, 0.0)[0],
+        "tlasso": baselines.tlasso_diagonal_start(X, 1.0)[0],
+        "npn": ModelParams(mu=mu, omega=np.diag(1.0 / np.diag(s))),
+    }
+    for estimator, start in starts.items():
+        first = study.fit_path(estimator, X, **kw).fits[0]
+        omega = first.theta.omega
+        assert np.array_equal(omega, np.diag(np.diag(omega))), estimator
+        assert np.array_equal(first.theta.mu, start.mu), estimator
+        assert np.array_equal(omega, start.omega), estimator
+        assert first.mm_iterations == 0 and len(first.objective_trace) == 1, estimator
+        assert first.converged, estimator
 
 
 def test_npn_path_transforms_once_and_starts_cold(monkeypatch):

@@ -132,11 +132,12 @@ def test_mm_step_gamma_zero_is_mle():
     rng = np.random.default_rng(4)
     X = rng.standard_normal((60, 3))
     theta0 = robust_init(X)
-    theta1, w = mm_step(X, theta0, RobustConfig(gamma=0.0, lam=0.0))
+    w = compute_weights(X, theta0, 0.0)
+    np.testing.assert_array_equal(w, np.full(60, 1 / 60))
+    theta1 = mm_step(X, theta0, RobustConfig(gamma=0.0, lam=0.0), w)
     np.testing.assert_allclose(theta1.mu, X.mean(axis=0), atol=1e-12)
     d = X - X.mean(axis=0)
     np.testing.assert_allclose(theta1.omega, np.linalg.inv(d.T @ d / 60), atol=1e-6)
-    np.testing.assert_array_equal(w, np.full(60, 1 / 60))
 
 
 def test_mm_step_fixed_point_stable():
@@ -144,14 +145,14 @@ def test_mm_step_fixed_point_stable():
     cfg = RobustConfig(gamma=0.1, lam=0.15)
     theta = robust_init(X)
     for _ in range(400):
-        new, _ = mm_step(X, theta, cfg)
+        new = mm_step(X, theta, cfg, compute_weights(X, theta, cfg.gamma))
         if max(
             np.max(np.abs(new.mu - theta.mu)), np.max(np.abs(new.omega - theta.omega))
         ) < 1e-11:
             theta = new
             break
         theta = new
-    again, _ = mm_step(X, theta, cfg)
+    again = mm_step(X, theta, cfg, compute_weights(X, theta, cfg.gamma))
     assert np.max(np.abs(again.mu - theta.mu)) < 1e-8
     assert np.max(np.abs(again.omega - theta.omega)) < 1e-8
 
@@ -164,7 +165,7 @@ def test_mm_step_descends_on_mixture():
     theta = robust_init(X)
     prev = penalized_gamma_objective(X, theta, cfg)
     for _ in range(10):
-        theta, _ = mm_step(X, theta, cfg)
+        theta = mm_step(X, theta, cfg, compute_weights(X, theta, cfg.gamma))
         cur = penalized_gamma_objective(X, theta, cfg)
         assert cur < prev
         prev = cur
@@ -186,6 +187,19 @@ def test_fit_gamma_zero_matches_glasso():
         direct = solve(GlassoProblem(s=s, lam=lam))
         assert res.converged
         assert np.max(np.abs(res.theta.omega - direct.omega)) < 1e-5
+
+
+def test_fit_gamma_zero_takes_one_exact_step():
+    # at gamma = 0 the weights do not depend on theta: the first step's
+    # solve, on the sample covariance, is the estimate
+    X, _, _ = mixture_24(seed=7)
+    lam = 0.1
+    res = fit(X, RobustConfig(gamma=0.0, lam=lam))
+    assert res.converged and res.mm_iterations == 1 and len(res.objective_trace) == 2
+    w = np.full(X.shape[0], 1.0 / X.shape[0])
+    s = weighted_scatter(X, w @ X, w)
+    direct = solve(GlassoProblem(s=s, lam=lam), init=robust_init(X).omega)
+    assert np.array_equal(res.theta.omega, direct.omega)
 
 
 def test_fit_recovers_support_on_clean_data():
@@ -229,8 +243,9 @@ def test_fit_weight_normalization_every_iteration():
     cfg = RobustConfig(gamma=0.3, lam=0.1)
     theta = robust_init(X)
     for _ in range(15):
-        theta, w = mm_step(X, theta, cfg)
+        w = compute_weights(X, theta, cfg.gamma)
         assert abs(w.sum() - 1.0) < 1e-12
+        theta = mm_step(X, theta, cfg, w)
 
 
 def test_fit_permutation_equivariance():
@@ -260,7 +275,7 @@ def test_weight_collapse_raises_degenerate_scatter():
     X = np.vstack([np.zeros((1, 2)), np.full((9, 2), 60.0)])
     theta = ModelParams(mu=np.zeros(2), omega=np.eye(2))
     with pytest.raises(DegenerateScatter):
-        mm_step(X, theta, RobustConfig(gamma=5.0, lam=0.1))
+        mm_step(X, theta, RobustConfig(gamma=5.0, lam=0.1), compute_weights(X, theta, 5.0))
 
 
 # --- majorization --------------------------------------------------------------
@@ -466,29 +481,38 @@ def test_geometric_grid_checks():
     assert grid[0] == 3.0 and grid[-1] == 0.75
 
 
+def _start(theta):
+    """A path's first point as its path function builds it: the start
+    evaluated, with no step taken."""
+    return gamma_mm.FitResult(theta=theta, weights=None, objective_trace=(0.0,),
+                              converged=False, mm_iterations=0)
+
+
 def test_warm_path_point_failure_keeps_going():
     starts = []
 
-    def fit_at(lam, start):
-        starts.append(start)
+    def fit_at(lam, last):
+        starts.append(last.theta)
         if lam == 2.0:
             raise DegenerateScatter("collapsed")
         return SimpleNamespace(theta=f"theta@{lam}", converged=lam != 4.0)
 
-    path = warm_path(np.array([3.0, 2.0, 1.5, 4.0]), "theta0", fit_at)
-    assert path.statuses == ("ok", "error: collapsed", "ok", "max_iter")
+    path = warm_path(np.array([3.0, 2.0, 1.5, 1.2, 4.0]), _start("theta0"), fit_at)
+    assert path.statuses == ("ok", "error: collapsed", "ok", "ok", "max_iter")
     assert path.fits[1] is None
-    assert [f.theta for f in path.fits if f is not None] == ["theta@3.0", "theta@1.5", "theta@4.0"]
+    # the first point is the start, converged, with no fit_at call at lambdas[0]
+    assert path.fits[0].theta == "theta0" and path.fits[0].converged
+    assert [f.theta for f in path.fits[2:]] == ["theta@1.5", "theta@1.2", "theta@4.0"]
     # the point after the failure starts from the last estimate before it
-    assert starts == ["theta0", "theta@3.0", "theta@3.0", "theta@1.5"]
+    assert starts == ["theta0", "theta0", "theta@1.5", "theta@1.2"]
 
 
 def test_warm_path_propagates_non_estimation_errors():
-    def fit_at(lam, start):
+    def fit_at(lam, last):
         raise ValueError("bad input")
 
     with pytest.raises(ValueError):
-        warm_path(np.array([1.0, 0.5]), None, fit_at)
+        warm_path(np.array([1.0, 0.5]), _start("theta0"), fit_at)
 
 
 # --- work: one log-density per iterate --------------------------------------------
@@ -501,10 +525,10 @@ def _reference_fit(X, cfg, init, tol=1e-7, max_iter=200):
     trace = [obj]
     converged = False
     for _ in range(max_iter):
-        theta, _ = mm_step(X, theta, cfg)
+        theta = mm_step(X, theta, cfg, compute_weights(X, theta, cfg.gamma))
         new_obj = penalized_gamma_objective(X, theta, cfg)
         trace.append(new_obj)
-        if abs(new_obj - obj) <= tol * max(1.0, abs(obj)):
+        if cfg.gamma == 0.0 or abs(new_obj - obj) <= tol * max(1.0, abs(obj)):
             converged = True
             break
         obj = new_obj
@@ -531,10 +555,12 @@ def test_path_one_log_density_per_iterate_and_same_numbers(monkeypatch, gamma):
     assert len({id(t) for t in seen}) == len(seen)
 
     theta = diagonal_start(X, gamma)[0]
-    for lam, res in zip(path.lambdas, path.fits):
+    for k, (lam, res) in enumerate(zip(path.lambdas, path.fits)):
+        # point 1 is the start itself, converged with no MM step
         ref_theta, ref_w, ref_trace, ref_conv = _reference_fit(
-            X, RobustConfig(gamma=gamma, lam=float(lam)), theta
+            X, RobustConfig(gamma=gamma, lam=float(lam)), theta, max_iter=200 if k else 0
         )
+        ref_conv = ref_conv or k == 0
         assert np.array_equal(res.theta.mu, ref_theta.mu)
         assert np.array_equal(res.theta.omega, ref_theta.omega)
         assert np.array_equal(res.weights, ref_w)
