@@ -20,7 +20,11 @@ code's, not the thread count's.
 
 For every artifact it prints "byte-identical", or how many numbers differ
 and the largest relative difference among them.  Non-numeric tokens that
-differ (edge hashes, statuses) are counted separately.
+differ (edge hashes, statuses) are counted separately.  JSON files are
+compared field by field: numbers and other values are counted per field
+(list indices dropped from the path, as in ``fits[].omega``), and a list
+whose length differs, or a key present on one side only, is named by its
+path and not compared further; every other field is still compared.
 
     python3 scripts/artifact_diff.py BEFORE_CHECKOUT AFTER_CHECKOUT \\
         --work /tmp/adiff [--replicates 20] [--skip-bench]
@@ -32,6 +36,7 @@ agree, 1 otherwise.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import re
 import subprocess
@@ -115,6 +120,55 @@ def diff_text(a: str, b: str) -> str:
     return text + (f"; {others} other tokens differ" if others else "")
 
 
+def _relative(x: float, y: float) -> float:
+    scale = max(abs(x), abs(y))
+    return abs(x - y) / scale if scale else 0.0
+
+
+def _walk(x, y, path: str, field: str, tally: dict) -> None:
+    """Compare two parsed JSON values, recording into ``tally``."""
+    if isinstance(x, dict) and isinstance(y, dict):
+        for key in list(x) + [k for k in y if k not in x]:
+            if key not in x or key not in y:
+                tally["shapes"].append(f"{path}.{key} only {'after' if key in y else 'before'}")
+            else:
+                _walk(x[key], y[key], f"{path}.{key}", f"{field}.{key}", tally)
+    elif isinstance(x, list) and isinstance(y, list):
+        if len(x) != len(y):
+            tally["shapes"].append(f"{path} ({len(x)} vs {len(y)} entries)")
+            return
+        for i, (u, v) in enumerate(zip(x, y)):
+            _walk(u, v, f"{path}[{i}]", f"{field}[]", tally)
+    elif x != y or type(x) is not type(y):
+        numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y))
+        count, worst = tally["fields"].get(field, (0, 0.0))
+        rel = _relative(float(x), float(y)) if numeric else None
+        tally["fields"][field] = (count + 1, worst if rel is None else max(worst, rel))
+        tally["numbers" if numeric else "others"] += 1
+        if numeric:
+            tally["worst"] = max(tally["worst"], rel)
+
+
+def diff_json(a: str, b: str) -> str:
+    """"byte-identical", or the differences of two JSON documents, field
+    by field: counts of differing numbers and other values, the largest
+    relative difference per field, and the paths whose shape differs."""
+    if a == b:
+        return "byte-identical"
+    tally = {"numbers": 0, "others": 0, "worst": 0.0, "fields": {}, "shapes": []}
+    _walk(json.loads(a), json.loads(b), "", "", tally)
+    text = f"{tally['numbers']} numbers differ, max relative difference {tally['worst']:.3g}"
+    if tally["others"]:
+        text += f"; {tally['others']} other values differ"
+    if tally["shapes"]:
+        text += f"; shape differs at {len(tally['shapes'])} paths: " + ", ".join(
+            s.lstrip(".") for s in tally["shapes"])
+    for field, (count, worst) in sorted(tally["fields"].items()):
+        text += f"\n    {field.lstrip('.') or '(root)'}: {count} differ"
+        text += f", max relative difference {worst:.3g}" if worst else ""
+    return text
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("before", type=Path)
@@ -140,7 +194,8 @@ def main() -> int:
                 label for label, p in (("before", pa), ("after", pb)) if not p.exists()
             )
         else:
-            result = diff_text(pa.read_text(), pb.read_text())
+            diff = diff_json if name.endswith(".json") else diff_text
+            result = diff(pa.read_text(), pb.read_text())
         same = same and result == "byte-identical"
         print(f"{name}: {result}")
     return 0 if same else 1

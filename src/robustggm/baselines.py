@@ -221,17 +221,18 @@ def _npn_scatter(Z: np.ndarray, use_correlation: bool) -> tuple[np.ndarray, np.n
 
 
 def _npn_solve(mu, s, n: int, lam: float, start: ModelParams | None = None) -> FitResult:
-    """Graphical lasso on ``s``, cold or warm from ``start``; uniform weights."""
+    """Graphical lasso on ``s``, cold or warm from ``start``; uniform
+    weights.  One solve, so ``mm_iterations`` is 1, as for glasso."""
     problem = glasso.GlassoProblem(s=s, lam=lam)
     sol = glasso.solve(problem, init=None if start is None else start.omega)
-    return _npn_result(mu, sol.omega, problem, n, sol.iterations)
+    return _npn_result(mu, sol.omega, problem, n, 1)
 
 
-def _npn_result(mu, omega, problem: glasso.GlassoProblem, n: int, sweeps: int) -> FitResult:
+def _npn_result(mu, omega, problem: glasso.GlassoProblem, n: int, solves: int) -> FitResult:
     return FitResult(
         theta=ModelParams(mu=mu, omega=omega), weights=np.full(n, 1.0 / n),
         objective_trace=(glasso.glasso_objective(omega, problem),), converged=True,
-        mm_iterations=sweeps,
+        mm_iterations=solves,
     )
 
 

@@ -16,21 +16,34 @@ it tries again on that pass's signed support.  Near a solution of the
 outer problem the columns' supports settle, so most column updates are
 one linear solve and no pass.
 
-The sweep loop has the same kind of finish.  When a sweep leaves the
-signed off-diagonal support E of Omega unchanged (the warm start is the
-iterate before the first sweep) without meeting the stop rule, the
-solver minimizes the smooth problem -log|Omega| + tr(Omega T) with
-T = S + lam sign(Omega) on E, over Omega supported on E and the
-diagonal: covariance selection with a shifted S (Dempster, Biometrics
-1972), solved by Newton's method restricted to that fixed active set
-(the QUIC direction of Hsieh, Sustik, Dhillon & Ravikumar, JMLR 2014).
-Each direction comes from conjugate gradients on the Hessian-vector
-product mask * (Sigma D Sigma), so no Hessian is ever formed, and every
-Armijo trial point must factorize.  The result replaces the sweep
-iterate only if (1) it keeps every sign on E, with no zeros, (2) its
-full KKT residual is below the tolerance and (3) its objective is no
-higher than the sweep iterate's; otherwise sweeping goes on from the
-coordinate-descent iterate.
+The sweep loop has the same kind of finish.  Let E be the signed
+off-diagonal support of Omega.  The finish minimizes the smooth problem
+-log|Omega| + tr(Omega T) with T = S + lam sign(Omega) on E, over Omega
+supported on E and the diagonal: covariance selection with a shifted S
+(Dempster, Biometrics 1972), solved by Newton's method restricted to
+that fixed active set (the QUIC direction of Hsieh, Sustik, Dhillon &
+Ravikumar, JMLR 2014).  Each direction comes from conjugate gradients
+on the Hessian-vector product mask * (Sigma D Sigma), so no Hessian is
+ever formed, and every Armijo trial point must factorize.  The result
+is accepted only if (1) it keeps every sign on E, with no zeros, (2)
+its full KKT residual is below the tolerance and (3) its objective is
+no higher than the point the finish started from.  The acceptance
+tests reuse the Newton's last factorization.  A result that fails only
+(1) is repaired by dropping the entries that flipped or vanished from
+E; one that passes (1) and fails (2) only at zero off-diagonal entries
+is repaired by adding those entries to E, with the sign that descends,
+-sign(s_jk - sigma_jk).  At most two repairs follow the first Newton
+solve, each under the same three tests.
+
+The finish is tried first on the starting point, before any sweep, if
+a screen passes: every zero off-diagonal entry of the start already
+meets its KKT bound |s_jk - sigma_jk| <= lam.  The screen costs the
+inverse that sweep 1 needs anyway.  Near a solution, as along an MM
+path, the start's signed support is often the answer, and the solve
+then ends with no sweep.  Otherwise, or if the finish is not accepted,
+sweeps run, and the finish is tried again after every sweep that
+leaves E unchanged without meeting the stop rule; a finish that is not
+accepted leaves the sweep iterate as it was.
 
 Every column update decreases the objective, since it never ends at a
 higher subproblem objective than the column it starts from, and every
@@ -89,7 +102,11 @@ class GlassoProblem:
 @dataclass(frozen=True)
 class GlassoSolution:
     """A solve's precision matrix and work: sweeps (``iterations``) and
-    the Newton steps of the exact finish (``newton_steps``)."""
+    the Newton steps of the accepted exact finish, repairs included
+    (``newton_steps``).  ``iterations`` is 0 when the finish on the
+    starting point's support was accepted before any sweep; the
+    objective trace then holds only the finish's objective, or nothing
+    if the start already was the solution."""
 
     omega: np.ndarray
     iterations: int
@@ -112,10 +129,14 @@ def reduce_to_standard(p: GlassoProblem) -> GlassoProblem:
 
 def glasso_objective(omega: np.ndarray, p: GlassoProblem) -> float:
     """-kappa log|Omega| + tr(Omega S) + lam * ||Omega - diag Omega||_1."""
-    f = spd_factorize(omega)
+    return _objective(omega, spd_factorize(omega).logdet, p)
+
+
+def _objective(omega, logdet, p):
+    """:func:`glasso_objective` with log|Omega| given."""
     a = np.abs(omega)
     pen = p.lam * float(a.sum() - np.trace(a))
-    return float(-p.logdet_scale * f.logdet + np.sum(p.s * omega) + pen)
+    return float(-p.logdet_scale * logdet + np.sum(p.s * omega) + pen)
 
 
 def kkt_residual(omega: np.ndarray, p: GlassoProblem) -> float:
@@ -134,16 +155,20 @@ def kkt_residual(omega: np.ndarray, p: GlassoProblem) -> float:
         sigma = np.diag(1.0 / d)  # elementwise inverse is exact here
     else:
         sigma = inv_spd(omega)
-    diff = std.s - sigma
+    return _kkt_max(omega, std.s - sigma, std.lam)
+
+
+def _kkt_max(omega, diff, lam):
+    """:func:`kkt_residual` with diff = s - sigma given, in standard form."""
     n = omega.shape[0]
     off = ~np.eye(n, dtype=bool)
     nonzero = off & (omega != 0.0)
     zero = off & (omega == 0.0)
     res = np.abs(np.diag(diff)).max() if n > 0 else 0.0
     if nonzero.any():
-        res = max(res, np.abs(diff[nonzero] + std.lam * np.sign(omega[nonzero])).max())
+        res = max(res, np.abs(diff[nonzero] + lam * np.sign(omega[nonzero])).max())
     if zero.any():
-        res = max(res, max(0.0, (np.abs(diff[zero]) - std.lam).max()))
+        res = max(res, max(0.0, (np.abs(diff[zero]) - lam).max()))
     return float(res)
 
 
@@ -218,32 +243,44 @@ def _signed_support_solution(A, w, c, t):
     return x
 
 
-def _support_newton(omega, S, lam, gtol, max_steps=20):
-    """Minimize -log|X| + tr(X T) over X with omega's pattern, from omega.
+def _support_newton(x, signs, S, lam, gtol, max_steps=20):
+    """Minimize -log|X| + tr(X T) over X on a sign pattern, from x.
 
-    The pattern is omega's off-diagonal support E plus the diagonal;
-    T = S + lam * sign(omega) on E and S on the diagonal.  The unknowns
-    are the pattern's upper triangle, packed into a vector whose
-    off-diagonal entries count twice in every inner product.  Newton
-    steps (directions from :func:`_newton_direction`) with Armijo
-    backtracking run until the largest gradient entry is at most
-    ``gtol``.  Returns (X, steps), or None if the line search fails or
-    ``max_steps`` do not converge.  X is exactly symmetric with omega's
-    zeros; its signs on E are not checked here.
+    The pattern is the off-diagonal support E of ``signs`` plus the
+    diagonal; T = S + lam * signs on E and S on the diagonal.  The start
+    x must be zero off the pattern.  The unknowns are the pattern's
+    upper triangle, packed into a vector whose off-diagonal entries
+    count twice in every inner product.  Newton steps (directions from
+    :func:`_newton_direction`) with Armijo backtracking run until the
+    largest gradient entry is at most ``gtol``.  Returns (X, steps,
+    X^{-1}, log|X|), the last two from X's own factorization, or None if
+    x is not positive definite, the line search fails or ``max_steps``
+    do not converge.  X is exactly symmetric and zero off the pattern;
+    its signs on E are not checked here.  With E empty, X is the
+    minimizer diag(1 / s_jj) itself, which counts as one step unless x
+    is that already, and X^{-1} is inverted elementwise, as
+    :func:`kkt_residual` inverts a diagonal matrix.
     """
-    iu, ju = np.nonzero(np.triu(omega))
+    iu, ju = np.nonzero(np.triu(signs))
     offd = iu != ju
+    if not offd.any():
+        xd = np.diag(1.0 / np.diag(S))
+        f = spd_factorize(xd)
+        return xd, int(not np.array_equal(xd, x)), np.diag(1.0 / np.diag(xd)), f.logdet
     t = S[iu, ju]
-    t[offd] += lam * np.sign(omega[iu[offd], ju[offd]])
+    t[offd] += lam * signs[iu[offd], ju[offd]]
     w = np.where(offd, 2.0, 1.0)
-    x, f = omega, spd_factorize(omega)
+    try:
+        f = spd_factorize(x)
+    except NotPositiveDefinite:
+        return None
     fx = w @ (t * x[iu, ju]) - f.logdet
     steps = 0
     while True:
         sigma = f.inverse()
         g = t - sigma[iu, ju]
         if np.abs(g).max() <= gtol:
-            return x, steps
+            return x, steps, sigma, f.logdet
         if steps == max_steps:
             return None
         g *= w
@@ -306,6 +343,55 @@ def _newton_direction(sigma, iu, ju, w, g, rtol=1e-2, max_iter=200):
     return d
 
 
+def _screen(omega, sigma, S, lam):
+    """True if every zero off-diagonal entry of omega meets its KKT
+    bound, |s_jk - sigma_jk| <= lam, for sigma = omega^{-1}."""
+    zero = omega == 0.0  # the diagonal of a PD matrix has no zeros
+    return bool(np.all(np.abs(S - sigma)[zero] <= lam))
+
+
+def _finish(omega, std, p, kkt_tol):
+    """The exact Newton finish on omega's signed support, or None.
+
+    Returns (Omega, Newton steps, KKT residual, objective of ``p``) for
+    a point that (1) keeps every sign of its pattern with no zeros, (2)
+    has a full KKT residual below ``kkt_tol`` and (3) has an objective
+    no higher than omega's.  The first pattern is sign(omega).  Up to
+    two times, a point that fails only (1) is solved again with
+    the flipped or vanished entries dropped from the pattern (and set
+    to 0 in the new start), and one that fails only (2), at zero
+    off-diagonal entries, is solved again with those entries added,
+    each with sign -sign(s_jk - sigma_jk).
+    """
+    S, lam = std.s, std.lam
+    signs = np.sign(omega)
+    x, steps = omega, 0
+    for _ in range(3):  # the first solve and at most two repairs
+        found = _support_newton(x, signs, S, lam, 1e-2 * kkt_tol)
+        if found is None:
+            return None
+        x, k, sigma, logdet = found
+        steps += k
+        missed = np.sign(x) != signs
+        if missed.any():
+            signs = np.where(missed, 0.0, signs)
+            x = np.where(missed, 0.0, x)
+            continue
+        diff = S - sigma
+        res = _kkt_max(x, diff, lam)
+        if res >= kkt_tol:
+            enter = (signs == 0.0) & (np.abs(diff) - lam >= kkt_tol)
+            if not enter.any():
+                return None
+            signs = np.where(enter, -np.sign(diff), signs)
+            continue
+        obj = _objective(x, logdet, p)
+        if obj > glasso_objective(omega, p):
+            return None
+        return x, steps, res, obj
+    return None
+
+
 def solve(
     p: GlassoProblem,
     init: np.ndarray | None = None,
@@ -316,16 +402,20 @@ def solve(
 ) -> GlassoSolution:
     """Solve the (possibly rescaled) graphical-lasso problem.
 
-    Sweeps of blockwise coordinate descent run until a sweep changes
+    First the starting point is screened: if every zero off-diagonal
+    entry of it meets its KKT bound, the exact Newton finish on its
+    signed support (:func:`_finish`) is tried before any sweep.  Then
+    sweeps of blockwise coordinate descent run until a sweep changes
     Omega by at most the ``tol`` threshold and the KKT residual is below
     ``kkt_tol``.  After a sweep that does not meet that stop rule but
-    leaves Omega's signed off-diagonal support unchanged (the warm start
-    counts as the iterate before sweep 1), the exact Newton finish on
-    that support (:func:`_support_newton`) is tried.  Its point is
-    returned only if it keeps every sign of the support with no zeros,
-    its full KKT residual is below ``kkt_tol`` and its objective is no
-    higher than the sweep iterate's; otherwise sweeping goes on from the
-    sweep iterate.
+    leaves Omega's signed off-diagonal support unchanged, the finish is
+    tried again.  A finish's point is returned only if it keeps every
+    sign of its pattern with no zeros, its full KKT residual is below
+    ``kkt_tol`` and its objective is no higher than the point it started
+    from; a point that misses only by sign flips, or only by KKT
+    violations at zero entries, is repaired at most twice by changing
+    the pattern (see :func:`_finish`).  Otherwise sweeping goes on from
+    the sweep iterate.
 
     Parameters
     ----------
@@ -344,15 +434,16 @@ def solve(
         solver keeps sweeping past the change criterion until met.
     record_trace : bool
         Record the objective (of the problem as given) after each sweep,
-        and after an accepted finish.
+        and after an accepted finish that took a Newton step.
 
     Returns
     -------
     GlassoSolution
-        ``iterations`` counts sweeps; ``newton_steps`` counts the Newton
-        steps of an accepted finish (0 when the stop rule ended the
-        solve, or when the sweep iterate already solved the support's
-        equations).
+        ``iterations`` counts sweeps (0 when the finish on the start was
+        accepted); ``newton_steps`` counts the Newton steps of an
+        accepted finish, repairs included (0 when the stop rule ended
+        the solve, or when the point the finish started from already
+        solved its pattern's equations).
 
     Raises
     ------
@@ -387,10 +478,10 @@ def solve(
         init = require_symmetric(np.asarray(init, dtype=float), "init")
         if init.shape != S.shape:
             raise DimensionMismatch("warm start has wrong shape")
-        spd_factorize(init)  # PD validation
         omega = init.copy()
     else:
         omega = np.diag(1.0 / (np.diag(S) + lam))
+    start = spd_factorize(omega)  # validates a warm start as PD
 
     if n == 1:
         omega = np.array([[1.0 / S[0, 0]]])
@@ -405,11 +496,28 @@ def solve(
     idx_all = [np.concatenate([np.arange(j), np.arange(j + 1, n)]) for j in range(n)]
 
     sweeps = 0
-    sigma = None
-    for sweep in range(1, max_sweeps + 1):
-        sweeps = sweep
-        # refresh the pair; O(p^3), keeps drift out
-        sigma = np.ascontiguousarray(inv_spd(omega))
+    sigma = np.ascontiguousarray(start.inverse())  # for the screen and sweep 1
+    stable = _screen(omega, sigma, S, lam)
+    while True:
+        if stable:
+            done = _finish(omega, std, p, kkt_tol)
+            if done is not None:
+                omega, steps, res, obj = done
+                if record_trace and steps:  # with no step, omega is unchanged
+                    trace.append(obj)
+                return GlassoSolution(
+                    omega=omega,
+                    iterations=sweeps,
+                    kkt_residual=res,
+                    objective_trace=tuple(trace) if record_trace else None,
+                    newton_steps=steps,
+                )
+        if sweeps == max_sweeps:
+            res = kkt_residual(omega, std)
+            raise MaxSweepsExceeded(omega=omega, residual=res, sweeps=max_sweeps)
+        if sweeps:  # refresh the pair; O(p^3), keeps drift out
+            sigma = np.ascontiguousarray(inv_spd(omega))
+        sweeps += 1
         sigma_flat = sigma.reshape(-1)  # a view, as sigma is C-contiguous
         prev = omega.copy()
         for j in range(n):
@@ -448,28 +556,4 @@ def solve(
                     kkt_residual=res,
                     objective_trace=tuple(trace) if record_trace else None,
                 )
-        if not np.array_equal(np.sign(omega), np.sign(prev)):
-            continue
-        found = _support_newton(omega, S, lam, 1e-2 * kkt_tol)
-        if found is None:
-            continue
-        cand, steps = found
-        if not np.array_equal(np.sign(cand), np.sign(omega)):
-            continue
-        res = kkt_residual(cand, std)
-        if res >= kkt_tol:
-            continue
-        obj = glasso_objective(cand, p)
-        if obj > (trace[-1] if record_trace else glasso_objective(omega, p)):
-            continue
-        if record_trace and steps:  # with no step, cand is the sweep iterate
-            trace.append(obj)
-        return GlassoSolution(
-            omega=cand,
-            iterations=sweeps,
-            kkt_residual=res,
-            objective_trace=tuple(trace) if record_trace else None,
-            newton_steps=steps,
-        )
-    res = kkt_residual(omega, std)
-    raise MaxSweepsExceeded(omega=omega, residual=res, sweeps=max_sweeps)
+        stable = np.array_equal(np.sign(omega), np.sign(prev))

@@ -542,6 +542,18 @@ def test_fit_path_first_point_is_the_start():
         assert first.converged, estimator
 
 
+def test_fit_npn_path_counts_one_solve_per_point(simdir, tmp_path):
+    """npn's ``mm_iterations`` in fit.json counts its solves, as glasso's
+    does: 0 at the first point, which is its start, and 1 at every solved
+    point, however many sweeps the solve took (possibly none)."""
+    for estimator in ("npn", "glasso"):
+        out = tmp_path / estimator
+        assert run(["fit", "--estimator", estimator, "--lambda-grid", "default",
+                    "--input", str(simdir / "data.csv"), "--out", str(out), "--quiet"]) == 0
+        fits = json.loads((out / "fit.json").read_text())["fits"]
+        assert [f["mm_iterations"] for f in fits] == [0] + [1] * 9, estimator
+
+
 def test_npn_path_transforms_once_and_starts_cold(monkeypatch):
     X, _, _ = mixture_24(seed=23)
     calls = []

@@ -408,48 +408,137 @@ def _zero_one(x):
     (_shrink_offdiagonal, 1.0),  # passes KKT < 1, fails the objective test
 ])
 def test_rejected_finish_sweeps_on(monkeypatch, corrupt, kkt_tol):
-    """Every candidate the finish offers is corrupted: the solve must
-    reject each one and end by sweeps at the plain solver's answer."""
+    """Every candidate the finish offers, repairs included, is
+    corrupted: the solve must reject each one and end by sweeps at the
+    plain solver's answer, from a cold start (the finish first runs
+    after a sweep) and from a warm start whose screen passes (the
+    finish first runs on the start, before sweep 1)."""
     prob = random_problem(np.random.default_rng(21), 6, lam_scale=0.2)
     reference = solve(prob, tol=1e-9, kkt_tol=1e-9)
-    offered = []
+    warm = solve(GlassoProblem(s=prob.s, lam=0.99 * prob.lam)).omega
+    assert np.array_equal(np.sign(warm), np.sign(reference.omega))
+    starts, offered = [], []
 
-    def corrupted(*args, **kw):
-        found = _support_newton(*args, **kw)
+    def corrupted(x, *args, **kw):
+        starts.append(x.copy())
+        found = _support_newton(x, *args, **kw)
         if found is None or np.count_nonzero(np.triu(found[0], 1)) == 0:
             return found
         offered.append(corrupt(found[0]))
-        return offered[-1], 1
+        return offered[-1], 1, np.linalg.inv(offered[-1]), np.linalg.slogdet(offered[-1])[1]
 
     monkeypatch.setattr(glasso, "_support_newton", corrupted)
-    sol = solve(prob, tol=1e-9, kkt_tol=kkt_tol, record_trace=True)
-    assert offered
-    assert sol.newton_steps == 0
-    assert all(sol.omega is not bad for bad in offered)
-    assert np.max(np.abs(sol.omega - reference.omega)) < 1e-6
-    tr = sol.objective_trace
-    assert all(b <= a + 1e-9 * max(1.0, abs(a)) for a, b in zip(tr, tr[1:]))
+    for init in (None, warm):
+        starts.clear()
+        offered.clear()
+        sol = solve(prob, init=init, tol=1e-9, kkt_tol=kkt_tol, record_trace=True)
+        assert offered
+        assert sol.iterations >= 1 and sol.newton_steps == 0
+        assert all(sol.omega is not bad for bad in offered)
+        assert np.max(np.abs(sol.omega - reference.omega)) < 1e-6
+        tr = sol.objective_trace
+        assert all(b <= a + 1e-9 * max(1.0, abs(a)) for a, b in zip(tr, tr[1:]))
+    assert np.array_equal(starts[0], warm)  # the finish ran before sweep 1
 
 
-def test_warm_start_on_the_right_support_finishes_after_one_sweep():
-    """At its own solution the first sweep already meets the stop rule.
-    From the solution at a 1% smaller penalty, on the same signed
-    support, one sweep and the Newton finish solve the problem."""
+def test_warm_start_on_the_right_support_finishes_with_no_sweep():
+    """At its own solution the start passes the screen and solves its
+    support's equations: no sweep, no Newton step, the same Omega bit
+    for bit.  From the solution at a 1% smaller penalty, on the same
+    signed support, the Newton finish alone solves the problem."""
     cases = 0
     for seed in range(10):
         prob = random_problem(np.random.default_rng(seed), 7, lam_scale=0.3)
         sol = solve(prob)
         again = solve(prob, init=sol.omega)
-        assert (again.iterations, again.newton_steps) == (1, 0)
+        assert (again.iterations, again.newton_steps) == (0, 0)
+        assert np.array_equal(again.omega, sol.omega)
         near = solve(GlassoProblem(s=prob.s, lam=0.99 * prob.lam)).omega
         if not np.array_equal(np.sign(near), np.sign(sol.omega)):
             continue
         cases += 1
         warm = solve(prob, init=near)
-        assert warm.iterations == 1 and warm.newton_steps > 0
+        assert warm.iterations == 0 and warm.newton_steps > 0
         assert warm.kkt_residual < 1e-6
         assert np.max(np.abs(warm.omega - sol.omega)) < 1e-6
     assert cases >= 5
+
+
+def _one_entry_off(rng, omega, kind):
+    """omega with one off-diagonal pair changed, shifted to PD if needed:
+    an edge removed, an edge added or an edge's sign flipped."""
+    x = omega.copy()
+    upper = np.triu(np.ones_like(x, dtype=bool), 1)
+    pick = upper & ((x == 0.0) if kind == "extra_edge" else (x != 0.0))
+    if not pick.any():
+        return None
+    i, j = np.argwhere(pick)[rng.integers(pick.sum())]
+    if kind == "missing_edge":
+        x[i, j] = x[j, i] = 0.0
+    elif kind == "extra_edge":
+        x[i, j] = x[j, i] = rng.choice([-1.0, 1.0]) * 0.2 * np.sqrt(x[i, i] * x[j, j])
+    else:
+        x[i, j] = x[j, i] = -x[i, j]
+    low = np.linalg.eigvalsh(x).min()
+    if low < 1e-3:
+        x = x + (1e-3 - low) * np.eye(len(x))
+    return x
+
+
+def test_warm_start_one_entry_off_the_solution(monkeypatch):
+    """From warm starts one entry off the solution's signed support, the
+    solve meets KKT with a PD, exactly symmetric Omega and an objective
+    no higher than the start's, and reports the same KKT residual and
+    objective as a fresh evaluation; across the examples, both a
+    declined screen and a repaired finish occur."""
+    finish, newton, screen = glasso._finish, glasso._support_newton, glasso._screen
+    seen = {"declined": 0, "repaired": 0}
+    calls = []
+
+    def spy_screen(*args):
+        ok = screen(*args)
+        seen["declined"] += not ok
+        return ok
+
+    def spy_newton(*args, **kw):
+        calls.append(1)
+        return newton(*args, **kw)
+
+    def spy_finish(*args, **kw):
+        calls.clear()
+        done = finish(*args, **kw)
+        seen["repaired"] += done is not None and len(calls) > 1
+        return done
+
+    monkeypatch.setattr(glasso, "_screen", spy_screen)
+    monkeypatch.setattr(glasso, "_support_newton", spy_newton)
+    monkeypatch.setattr(glasso, "_finish", spy_finish)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(3, 8),
+        lam_scale=st.floats(0.05, 0.6),
+        kind=st.sampled_from(["missing_edge", "extra_edge", "wrong_sign"]),
+    )
+    def check(seed, p, lam_scale, kind):
+        rng = np.random.default_rng(seed)
+        prob = random_problem(rng, p, lam_scale=lam_scale)
+        init = _one_entry_off(rng, solve(prob).omega, kind)
+        if init is None:
+            return
+        sol = solve(prob, init=init, record_trace=True)
+        # the finish's tests reuse its factorization, with the same numbers
+        assert sol.kkt_residual == kkt_residual(sol.omega, prob) < 1e-6
+        if sol.objective_trace:
+            assert sol.objective_trace[-1] == glasso_objective(sol.omega, prob)
+        np.linalg.cholesky(sol.omega)  # raises unless PD
+        assert np.array_equal(sol.omega, sol.omega.T)
+        start = glasso_objective(init, prob)
+        assert glasso_objective(sol.omega, prob) <= start + 1e-12 * max(1.0, abs(start))
+
+    check()
+    assert seen["declined"] > 0 and seen["repaired"] > 0
 
 
 @pytest.fixture(scope="module")
@@ -496,14 +585,17 @@ def study_p25_work():
 
 def test_study_p25_sweep_count(study_p25_work):
     """Work-count regression on the acceptance replicate: all four
-    paths together took 1,330 sweeps before the Newton finish and 356
-    with it.  Their 187 solves are one per glasso and npn point, one per
-    MM/EM step of the gamma and tlasso points, and none at the first
-    point of any path, which is its start."""
+    paths together took 1,330 sweeps before the Newton finish, 343 with
+    it after each sweep, and 216 once it is also tried on each start,
+    where 97 solves end with no sweep.  Their 186 solves are one per
+    glasso and npn point, one per MM/EM step of the gamma and tlasso
+    points, and none at the first point of any path, which is its
+    start."""
     assert all(set(statuses) == {"ok"} for statuses in study_p25_work["statuses"])
     sweeps = study_p25_work["sweeps"]
-    assert len(sweeps) == 187
-    assert sum(sweeps) <= 500
+    assert len(sweeps) == 186
+    assert sum(sweeps) <= 240
+    assert sum(s == 0 for s in sweeps) >= 90
 
 
 def test_study_p25_updates_end_at_the_warm_starts_support_solve(study_p25_work):

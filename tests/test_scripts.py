@@ -1,0 +1,50 @@
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_artifact_diff_compares_json_field_by_field(tmp_path):
+    """A shorter objective trace and a dropped key no longer hide the
+    other fields: the length mismatch is named by its path, and λ,
+    status, edges and Ω are still compared and bounded."""
+    before = {
+        "config": {"estimator": "tlasso", "seed": 7},
+        "fits": [
+            {"lambda": 0.5, "status": "ok", "edges": [[0, 1]], "omega": [[2.0, -0.5], [-0.5, 1.0]],
+             "objective_trace": [3.0, 2.5, 2.4]},
+            {"lambda": 0.25, "status": "ok", "edges": [[0, 1]], "omega": [[2.0, -0.7], [-0.7, 1.0]],
+             "objective_trace": [2.4, 2.2]},
+        ],
+    }
+    after = json.loads(json.dumps(before))
+    del after["config"]["seed"]
+    after["fits"][0]["objective_trace"] = [3.0, 2.4]
+    after["fits"][1]["omega"] = [[2.0, -0.7000007], [-0.7000007, 1.0]]
+    after["fits"][1]["status"] = "max_iter"
+    after["fits"][1]["edges"] = [[0, 1], [0, 2]]
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(before))
+    b.write_text(json.dumps(after))
+
+    artifact_diff = load_script("artifact_diff")
+    report = artifact_diff.diff_json(a.read_text(), b.read_text())
+    head, *fields = report.split("\n")
+    assert head.startswith("2 numbers differ, max relative difference 1e-06; 1 other values differ")
+    assert "shape differs at 3 paths" in head
+    assert "fits[0].objective_trace (3 vs 2 entries)" in head
+    assert "fits[1].edges (1 vs 2 entries)" in head
+    assert "config.seed only before" in head
+    assert [f.strip() for f in fields] == [
+        "fits[].omega[][]: 2 differ, max relative difference 1e-06",
+        "fits[].status: 1 differ",
+    ]
+    assert artifact_diff.diff_json(a.read_text(), a.read_text()) == "byte-identical"
