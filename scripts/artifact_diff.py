@@ -98,6 +98,11 @@ def _number(token: str) -> float | None:
         return None
 
 
+def _relative(x: float, y: float) -> float:
+    scale = max(abs(x), abs(y))
+    return abs(x - y) / scale if scale else 0.0
+
+
 def diff_text(a: str, b: str) -> str:
     """"byte-identical", or a count of differing numbers and tokens."""
     if a == b:
@@ -114,15 +119,9 @@ def diff_text(a: str, b: str) -> str:
             others += 1
             continue
         numbers += 1
-        scale = max(abs(fx), abs(fy))
-        worst = max(worst, abs(fx - fy) / scale if scale else 0.0)
+        worst = max(worst, _relative(fx, fy))
     text = f"{numbers} numbers differ, max relative difference {worst:.3g}"
     return text + (f"; {others} other tokens differ" if others else "")
-
-
-def _relative(x: float, y: float) -> float:
-    scale = max(abs(x), abs(y))
-    return abs(x - y) / scale if scale else 0.0
 
 
 def _walk(x, y, path: str, field: str, tally: dict) -> None:
