@@ -385,8 +385,8 @@ def _finish(omega, std, p, kkt_tol):
                 return None
             signs = np.where(enter, -np.sign(diff), signs)
             continue
-        obj = _objective(x, logdet, p)
-        if obj > glasso_objective(omega, p):
+        obj = _objective(x, logdet, std)
+        if obj > glasso_objective(omega, std):
             return None
         return x, steps, res, obj
     return None
