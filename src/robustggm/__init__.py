@@ -40,7 +40,7 @@ from .gamma_mm import (
     solution_path,
     weighted_scatter,
 )
-from .glasso import GlassoProblem, GlassoSolution, glasso_objective, kkt_residual, reduce_to_standard, solve
+from .glasso import GlassoProblem, GlassoSolution, glasso_objective, kkt_residual, solve
 from .matcore import SpdFactor, inv_spd, quad_form, spd_factorize, symmetrize
 from .metrics import (
     EdgeSet,

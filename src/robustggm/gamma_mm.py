@@ -165,8 +165,10 @@ def mm_step(
     :func:`fit` passes them from the log-density it already holds); the
     location update is their weighted mean; the precision update solves
     the graphical lasso on the weighted scatter with log-determinant
-    coefficient 1/(1+gamma), warm-started at the current precision, to
-    :func:`glasso.solve`'s default tolerance.
+    coefficient k = 1/(1+gamma), warm-started at the current precision, to
+    :func:`glasso.solve`'s default tolerance.  Dividing that objective by
+    k gives the standard problem with S_w / k and lam / k, which is the
+    one solved.
     ``centered``, when given, is an array shaped like X that receives the
     rows the scatter is formed from, X - mu_{t+1}: :func:`fit` evaluates
     the new iterate's log-density on them.
@@ -175,9 +177,8 @@ def mm_step(
     mu_next = weights @ X
     d = np.subtract(X, mu_next, out=centered)
     s_w = _check_scatter(weighted_scatter(X, mu_next, weights, centered=d))
-    problem = glasso.GlassoProblem(
-        s=s_w, lam=cfg.lam, logdet_scale=1.0 / (1.0 + cfg.gamma)
-    )
+    k = 1.0 / (1.0 + cfg.gamma)
+    problem = glasso.GlassoProblem(s=s_w / k, lam=cfg.lam / k)
     sol = glasso.solve(problem, init=theta_t.omega)
     return ModelParams(mu=mu_next, omega=sol.omega)
 

@@ -1,8 +1,7 @@
 """Weighted graphical-lasso solver.
 
-Minimizes  -kappa log|Omega| + tr(Omega S) + lam * sum_{j!=k} |omega_jk|
-over positive-definite Omega by blockwise coordinate descent: the
-problem is first rescaled to the standard kappa = 1 form, then each
+Minimizes  -log|Omega| + tr(Omega S) + lam * sum_{j!=k} |omega_jk|
+over positive-definite Omega by blockwise coordinate descent: each
 column of Omega is updated in fixed ascending order by an inner cyclic
 coordinate-descent lasso whose Gram matrix is the corresponding block
 inverse, recovered in O(p^2) from the maintained (Omega, Sigma) pair.
@@ -73,15 +72,10 @@ from .matcore import inv_spd, require_symmetric, spd_factorize
 
 @dataclass(frozen=True)
 class GlassoProblem:
-    """Input matrix, penalty weight, and log-determinant coefficient.
-
-    ``logdet_scale`` (kappa) is 1 for the standard graphical lasso and
-    1/(1+gamma) for the rescaled inner problem of the gamma estimator.
-    """
+    """Input matrix and penalty weight."""
 
     s: np.ndarray
     lam: float
-    logdet_scale: float = 1.0
 
     def __post_init__(self):
         s = require_symmetric(np.asarray(self.s, dtype=float), "s")
@@ -90,8 +84,6 @@ class GlassoProblem:
             raise NonPositiveDiagonal(f"s[{j},{j}] = {s[j, j]:g} <= 0")
         if self.lam < 0:
             raise ValueError("lam must be >= 0")
-        if self.logdet_scale <= 0:
-            raise ValueError("logdet_scale must be > 0")
         object.__setattr__(self, "s", s)
 
     @property
@@ -115,20 +107,8 @@ class GlassoSolution:
     newton_steps: int = 0
 
 
-def reduce_to_standard(p: GlassoProblem) -> GlassoProblem:
-    """Rescale to logdet_scale = 1 without moving the minimizer.
-
-    Dividing the objective by kappa gives the standard problem with
-    s' = s / kappa and lam' = lam / kappa.
-    """
-    if p.logdet_scale == 1.0:
-        return p
-    k = p.logdet_scale
-    return GlassoProblem(s=p.s / k, lam=p.lam / k, logdet_scale=1.0)
-
-
 def glasso_objective(omega: np.ndarray, p: GlassoProblem) -> float:
-    """-kappa log|Omega| + tr(Omega S) + lam * ||Omega - diag Omega||_1."""
+    """-log|Omega| + tr(Omega S) + lam * ||Omega - diag Omega||_1."""
     return _objective(omega, spd_factorize(omega).logdet, p)
 
 
@@ -136,17 +116,16 @@ def _objective(omega, logdet, p):
     """:func:`glasso_objective` with log|Omega| given."""
     a = np.abs(omega)
     pen = p.lam * float(a.sum() - np.trace(a))
-    return float(-p.logdet_scale * logdet + np.sum(p.s * omega) + pen)
+    return float(-logdet + np.sum(p.s * omega) + pen)
 
 
 def kkt_residual(omega: np.ndarray, p: GlassoProblem) -> float:
-    """Max violation of the stationarity conditions of the standard form.
+    """Max violation of the stationarity conditions.
 
     With sigma = omega^{-1}: |s_jk - sigma_jk + lam sign(omega_jk)| on
     nonzero off-diagonals, max(0, |s_jk - sigma_jk| - lam) on zero
     off-diagonals, |s_jj - sigma_jj| on the diagonal.
     """
-    std = reduce_to_standard(p)
     omega = require_symmetric(np.asarray(omega, dtype=float), "omega")
     d = np.diag(omega)
     if np.count_nonzero(omega - np.diag(d)) == 0:
@@ -155,11 +134,11 @@ def kkt_residual(omega: np.ndarray, p: GlassoProblem) -> float:
         sigma = np.diag(1.0 / d)  # elementwise inverse is exact here
     else:
         sigma = inv_spd(omega)
-    return _kkt_max(omega, std.s - sigma, std.lam)
+    return _kkt_max(omega, p.s - sigma, p.lam)
 
 
 def _kkt_max(omega, diff, lam):
-    """:func:`kkt_residual` with diff = s - sigma given, in standard form."""
+    """:func:`kkt_residual` with diff = s - sigma given."""
     n = omega.shape[0]
     off = ~np.eye(n, dtype=bool)
     nonzero = off & (omega != 0.0)
@@ -350,10 +329,10 @@ def _screen(omega, sigma, S, lam):
     return bool(np.all(np.abs(S - sigma)[zero] <= lam))
 
 
-def _finish(omega, std, p, kkt_tol):
+def _finish(omega, p, kkt_tol):
     """The exact Newton finish on omega's signed support, or None.
 
-    Returns (Omega, Newton steps, KKT residual, objective of ``p``) for
+    Returns (Omega, Newton steps, KKT residual, objective) for
     a point that (1) keeps every sign of its pattern with no zeros, (2)
     has a full KKT residual below ``kkt_tol`` and (3) has an objective
     no higher than omega's.  The first pattern is sign(omega).  Up to
@@ -363,7 +342,7 @@ def _finish(omega, std, p, kkt_tol):
     off-diagonal entries, is solved again with those entries added,
     each with sign -sign(s_jk - sigma_jk).
     """
-    S, lam = std.s, std.lam
+    S, lam = p.s, p.lam
     signs = np.sign(omega)
     x, steps = omega, 0
     for _ in range(3):  # the first solve and at most two repairs
@@ -385,8 +364,8 @@ def _finish(omega, std, p, kkt_tol):
                 return None
             signs = np.where(enter, -np.sign(diff), signs)
             continue
-        obj = _objective(x, logdet, std)
-        if obj > glasso_objective(omega, std):
+        obj = _objective(x, logdet, p)
+        if obj > glasso_objective(omega, p):
             return None
         return x, steps, res, obj
     return None
@@ -400,7 +379,7 @@ def solve(
     kkt_tol: float | None = None,
     record_trace: bool = False,
 ) -> GlassoSolution:
-    """Solve the (possibly rescaled) graphical-lasso problem.
+    """Solve the graphical-lasso problem.
 
     First the starting point is screened: if every zero off-diagonal
     entry of it meets its KKT bound, the exact Newton finish on its
@@ -420,7 +399,6 @@ def solve(
     Parameters
     ----------
     p : GlassoProblem
-        Rescaled internally via :func:`reduce_to_standard`.
     init : ndarray, optional
         Warm-start precision matrix; validated to be PD before use.
         Defaults to diag(1 / (s_jj + lam)).
@@ -433,8 +411,8 @@ def solve(
         Required KKT residual on return (defaults to ``tol``).  The
         solver keeps sweeping past the change criterion until met.
     record_trace : bool
-        Record the objective (of the problem as given) after each sweep,
-        and after an accepted finish that took a Newton step.
+        Record the objective after each sweep, and after an accepted
+        finish that took a Newton step.
 
     Returns
     -------
@@ -454,9 +432,8 @@ def solve(
     DegenerateScatter
         If lam = 0 and s is singular: the problem then has no minimizer.
     """
-    std = reduce_to_standard(p)
-    S, lam = std.s, std.lam
-    n = std.dim
+    S, lam = p.s, p.lam
+    n = p.dim
     if lam == 0.0:
         # unpenalized, a minimizer exists only for positive-definite S; a
         # Cholesky pivot at rounding level relative to its s_kk counts as 0
@@ -500,7 +477,7 @@ def solve(
     stable = _screen(omega, sigma, S, lam)
     while True:
         if stable:
-            done = _finish(omega, std, p, kkt_tol)
+            done = _finish(omega, p, kkt_tol)
             if done is not None:
                 omega, steps, res, obj = done
                 if record_trace and steps:  # with no step, omega is unchanged
@@ -513,7 +490,7 @@ def solve(
                     newton_steps=steps,
                 )
         if sweeps == max_sweeps:
-            res = kkt_residual(omega, std)
+            res = kkt_residual(omega, p)
             raise MaxSweepsExceeded(omega=omega, residual=res, sweeps=max_sweeps)
         if sweeps:  # refresh the pair; O(p^3), keeps drift out
             sigma = np.ascontiguousarray(inv_spd(omega))
@@ -548,7 +525,7 @@ def solve(
             trace.append(glasso_objective(omega, p))
         change = float(np.mean(np.abs(omega - prev)))
         if change <= thr:
-            res = kkt_residual(omega, std)
+            res = kkt_residual(omega, p)
             if res < kkt_tol:
                 return GlassoSolution(
                     omega=omega,

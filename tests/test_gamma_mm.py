@@ -171,6 +171,28 @@ def test_mm_step_descends_on_mixture():
         prev = cur
 
 
+@pytest.mark.parametrize("gamma", [0.0, 0.05, 0.5, 2.0])
+def test_mm_step_meets_kkt_of_the_gamma_scaled_problem(gamma):
+    """The precision mm_step returns minimizes -(1/(1+gamma)) log|O| +
+    tr(O S_w) + lam sum_{j != k} |o_jk|, S_w the weighted scatter about
+    the new mean: its optimality conditions, restated with numpy, hold."""
+    X, _, _ = mixture_24(seed=7)
+    lam = 0.05
+    theta = robust_init(X)
+    w = compute_weights(X, theta, gamma)
+    omega = mm_step(X, theta, RobustConfig(gamma=gamma, lam=lam), w).omega
+    d = X - w @ X
+    s_w = (w[:, None] * d).T @ d
+    sigma = np.linalg.inv(omega)
+    grad = s_w - (sigma + sigma.T) / (2.0 * (1.0 + gamma))  # of the smooth part
+    off = ~np.eye(X.shape[1], dtype=bool)
+    on, zero = off & (omega != 0.0), off & (omega == 0.0)
+    assert on.any() and zero.any()
+    assert np.abs(np.diag(grad)).max() < 1e-6
+    assert np.abs(grad[on] + lam * np.sign(omega[on])).max() < 1e-6
+    assert np.abs(grad[zero]).max() < lam + 1e-6
+
+
 # --- fit --------------------------------------------------------------------------
 
 def test_fit_gamma_zero_matches_glasso():

@@ -16,7 +16,6 @@ from robustggm import (
     NotPositiveDefinite,
     glasso_objective,
     kkt_residual,
-    reduce_to_standard,
     solve,
 )
 from robustggm.glasso import _lasso_cd, _signed_support_solution, _support_newton
@@ -29,33 +28,6 @@ def random_problem(rng, p, lam_scale=0.3):
     off = ~np.eye(p, dtype=bool)
     lam = lam_scale * float(np.abs(s[off]).max()) if p > 1 else 0.1
     return GlassoProblem(s=s, lam=lam)
-
-
-# --- reduce_to_standard ------------------------------------------------------
-
-def test_reduce_identity_unchanged():
-    p = GlassoProblem(s=np.eye(3), lam=0.2, logdet_scale=1.0)
-    assert reduce_to_standard(p) is p
-
-
-def test_reduce_scales_s_and_lam():
-    s = np.array([[1.0, 0.3], [0.3, 2.0]])
-    g = 0.5
-    p = GlassoProblem(s=s, lam=0.2, logdet_scale=1.0 / (1.0 + g))
-    q = reduce_to_standard(p)
-    np.testing.assert_allclose(q.s, 1.5 * s, rtol=1e-15)
-    assert q.lam == pytest.approx(0.3, abs=1e-15)
-    assert q.logdet_scale == 1.0
-
-
-def test_reduce_preserves_minimizer():
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        s = random_spd(rng, 4, scale=0.5)
-        p = GlassoProblem(s=s, lam=0.15, logdet_scale=1.0 / 1.4)
-        a = solve(p, tol=1e-9)
-        b = solve(reduce_to_standard(p), tol=1e-9)
-        assert np.max(np.abs(a.omega - b.omega)) < 1e-7
 
 
 # --- solve -------------------------------------------------------------------
