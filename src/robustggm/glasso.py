@@ -34,15 +34,15 @@ is repaired by adding those entries to E, with the sign that descends,
 -sign(s_jk - sigma_jk).  At most two repairs follow the first Newton
 solve, each under the same three tests.
 
-The finish is tried first on the starting point, before any sweep, if
-a screen passes: every zero off-diagonal entry of the start already
-meets its KKT bound |s_jk - sigma_jk| <= lam.  The screen costs the
-inverse that sweep 1 needs anyway.  Near a solution, as along an MM
-path, the start's signed support is often the answer, and the solve
-then ends with no sweep.  Otherwise, or if the finish is not accepted,
-sweeps run, and the finish is tried again after every sweep that
-leaves E unchanged without meeting the stop rule; a finish that is not
-accepted leaves the sweep iterate as it was.
+The finish is tried first on the starting point, before any sweep.
+Near a solution, as along an MM path or a warm-started penalty path,
+the start's signed support, or one a repair away from it, is often the
+answer, and the solve then ends with no sweep.  From a diagonal start
+the first pattern is empty, its minimizer diag(1/s_jj) is closed-form,
+and a repair adds the entries whose KKT bound that point violates.  If
+the finish is not accepted, sweeps run, and the finish is tried again
+after every sweep that leaves E unchanged without meeting the stop
+rule; a finish that is not accepted leaves the sweep iterate as it was.
 
 Every column update decreases the objective, since it never ends at a
 higher subproblem objective than the column it starts from, and every
@@ -96,7 +96,7 @@ class GlassoSolution:
     """A solve's precision matrix and work: sweeps (``iterations``) and
     the Newton steps of the accepted exact finish, repairs included
     (``newton_steps``).  ``iterations`` is 0 when the finish on the
-    starting point's support was accepted before any sweep; the
+    starting point, repairs included, was accepted before any sweep; the
     objective trace then holds only the finish's objective, or nothing
     if the start already was the solution."""
 
@@ -322,24 +322,18 @@ def _newton_direction(sigma, iu, ju, w, g, rtol=1e-2, max_iter=200):
     return d
 
 
-def _screen(omega, sigma, S, lam):
-    """True if every zero off-diagonal entry of omega meets its KKT
-    bound, |s_jk - sigma_jk| <= lam, for sigma = omega^{-1}."""
-    zero = omega == 0.0  # the diagonal of a PD matrix has no zeros
-    return bool(np.all(np.abs(S - sigma)[zero] <= lam))
-
-
-def _finish(omega, p, kkt_tol):
+def _finish(omega, p, kkt_tol, omega_logdet=None):
     """The exact Newton finish on omega's signed support, or None.
 
     Returns (Omega, Newton steps, KKT residual, objective) for
     a point that (1) keeps every sign of its pattern with no zeros, (2)
     has a full KKT residual below ``kkt_tol`` and (3) has an objective
-    no higher than omega's.  The first pattern is sign(omega).  Up to
-    two times, a point that fails only (1) is solved again with
-    the flipped or vanished entries dropped from the pattern (and set
-    to 0 in the new start), and one that fails only (2), at zero
-    off-diagonal entries, is solved again with those entries added,
+    no higher than omega's, for which log|omega| is ``omega_logdet``
+    when given (else omega is factorized).  The first pattern is
+    sign(omega).  Up to two times, a point that fails only (1) is solved
+    again with the flipped or vanished entries dropped from the pattern
+    (and set to 0 in the new start), and one that fails only (2), at
+    zero off-diagonal entries, is solved again with those entries added,
     each with sign -sign(s_jk - sigma_jk).
     """
     S, lam = p.s, p.lam
@@ -365,7 +359,11 @@ def _finish(omega, p, kkt_tol):
             signs = np.where(enter, -np.sign(diff), signs)
             continue
         obj = _objective(x, logdet, p)
-        if obj > glasso_objective(omega, p):
+        if omega_logdet is None:
+            before = glasso_objective(omega, p)
+        else:
+            before = _objective(omega, omega_logdet, p)
+        if obj > before:
             return None
         return x, steps, res, obj
     return None
@@ -381,11 +379,10 @@ def solve(
 ) -> GlassoSolution:
     """Solve the graphical-lasso problem.
 
-    First the starting point is screened: if every zero off-diagonal
-    entry of it meets its KKT bound, the exact Newton finish on its
-    signed support (:func:`_finish`) is tried before any sweep.  Then
-    sweeps of blockwise coordinate descent run until a sweep changes
-    Omega by at most the ``tol`` threshold and the KKT residual is below
+    First the exact Newton finish on the starting point's signed
+    support (:func:`_finish`) is tried.  If it is not accepted, sweeps of
+    blockwise coordinate descent run until a sweep changes Omega by at
+    most the ``tol`` threshold and the KKT residual is below
     ``kkt_tol``.  After a sweep that does not meet that stop rule but
     leaves Omega's signed off-diagonal support unchanged, the finish is
     tried again.  A finish's point is returned only if it keeps every
@@ -473,11 +470,10 @@ def solve(
     idx_all = [np.concatenate([np.arange(j), np.arange(j + 1, n)]) for j in range(n)]
 
     sweeps = 0
-    sigma = np.ascontiguousarray(start.inverse())  # for the screen and sweep 1
-    stable = _screen(omega, sigma, S, lam)
+    stable = True  # the finish is tried on the start first
     while True:
         if stable:
-            done = _finish(omega, p, kkt_tol)
+            done = _finish(omega, p, kkt_tol, start.logdet if sweeps == 0 else None)
             if done is not None:
                 omega, steps, res, obj = done
                 if record_trace and steps:  # with no step, omega is unchanged
@@ -492,8 +488,7 @@ def solve(
         if sweeps == max_sweeps:
             res = kkt_residual(omega, p)
             raise MaxSweepsExceeded(omega=omega, residual=res, sweeps=max_sweeps)
-        if sweeps:  # refresh the pair; O(p^3), keeps drift out
-            sigma = np.ascontiguousarray(inv_spd(omega))
+        sigma = np.ascontiguousarray(inv_spd(omega))  # O(p^3): each sweep starts exact
         sweeps += 1
         sigma_flat = sigma.reshape(-1)  # a view, as sigma is C-contiguous
         prev = omega.copy()
