@@ -425,9 +425,8 @@ def test_rejected_finish_sweeps_on(monkeypatch, corrupt, kkt_tol, first_scale):
 
 
 def test_warm_start_on_the_right_support_finishes_with_no_sweep():
-    """At its own solution the start passes the screen and solves its
-    support's equations: no sweep, no Newton step, the same Omega bit
-    for bit.  From the solution at a 1% smaller penalty, on the same
+    """At its own solution the start already solves its support's
+    equations: no sweep, no Newton step, the same Omega bit for bit.  From the solution at a 1% smaller penalty, on the same
     signed support, the Newton finish alone solves the problem."""
     cases = 0
     for seed in range(10):
