@@ -30,15 +30,16 @@ class NonPositiveDiagonal(RobustGgmError):
 
 
 class MaxSweepsExceeded(RobustGgmError):
-    """The coordinate-descent solver ran out of sweeps before meeting the
-    optimality tolerance.  Carries the last iterate and its residual."""
+    """The graphical-lasso solver ran out of Newton steps before meeting
+    the KKT tolerance.  Carries the last iterate, its KKT residual and
+    the number of steps taken."""
 
-    def __init__(self, omega, residual, sweeps):
+    def __init__(self, omega, residual, steps):
         self.omega = omega
         self.residual = residual
-        self.sweeps = sweeps
+        self.steps = steps
         super().__init__(
-            f"no convergence after {sweeps} sweeps (KKT residual {residual:.3e})"
+            f"no convergence after {steps} Newton steps (KKT residual {residual:.3e})"
         )
 
 

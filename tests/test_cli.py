@@ -181,7 +181,7 @@ def test_fit_path_unusable_data_exit_2_one_line(tmp_path, capsys, estimator, row
 def test_fit_unpenalized_singular_scatter_exit_2_at_once(tmp_path, estimator):
     """n = 8 rows of p = 12 variables: every estimator's scatter is
     singular, so lambda = 0 has no solution.  The fit says so at its
-    first solve instead of sweeping to the solver's limit (about 40 s)."""
+    first solve instead of stepping to the solver's limit."""
     sim = tmp_path / "sim"
     assert run(["simulate", "--model", "ii", "--p", "12", "--n", "8", "--seed", "3",
                 "--out", str(sim), "--quiet"]) == 0
@@ -545,7 +545,7 @@ def test_fit_path_first_point_is_the_start():
 def test_fit_npn_path_counts_one_solve_per_point(simdir, tmp_path):
     """npn's ``mm_iterations`` in fit.json counts its solves, as glasso's
     does: 0 at the first point, which is its start, and 1 at every solved
-    point, however many sweeps the solve took (possibly none)."""
+    point, however many Newton steps the solve took (possibly none)."""
     for estimator in ("npn", "glasso"):
         out = tmp_path / estimator
         assert run(["fit", "--estimator", estimator, "--lambda-grid", "default",

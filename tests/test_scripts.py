@@ -1,6 +1,11 @@
+import ast
 import importlib.util
 import json
 from pathlib import Path
+
+import numpy as np
+
+from robustggm import GlassoProblem, solve
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -48,3 +53,24 @@ def test_artifact_diff_compares_json_field_by_field(tmp_path):
         "fits[].status: 1 differ",
     ]
     assert artifact_diff.diff_json(a.read_text(), a.read_text()) == "byte-identical"
+
+
+def test_perfbench_tracer_targets_resolve():
+    """perfbench's tracer wraps the (module, function) pairs of its
+    ``TARGETS`` and sums ``GlassoSolution.iterations`` over the solves;
+    a pair that no longer resolves, or a solution without that count,
+    leaves its metric unmeasured, a null in the benchmark's result
+    line.  The list is read from the tracer's source, not imported."""
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    targets = None
+    for node in ast.parse(tracer.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
+            targets = ast.literal_eval(node.value)
+    assert targets
+    for mod_name, fn_name in targets:
+        module = importlib.import_module(f"robustggm.{mod_name}")
+        assert callable(getattr(module, fn_name, None)), f"{mod_name}.{fn_name}"
+    sol = solve(GlassoProblem(s=np.array([[2.0, 0.5], [0.5, 1.0]]), lam=0.1))
+    assert type(sol.iterations) is int
+    assert np.isfinite(sol.kkt_residual)
