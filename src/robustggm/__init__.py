@@ -34,7 +34,6 @@ from .gamma_mm import (
     compute_weights,
     diagonal_start,
     fit,
-    lambda_max,
     mm_step,
     robust_init,
     solution_path,

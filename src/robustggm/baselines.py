@@ -1,10 +1,13 @@
-"""Comparison estimators: multivariate-t EM (tlasso) and the
-nonparanormal rank transform followed by a graphical lasso.
+"""Comparison estimators: the penalized multivariate-t EM (tlasso) and
+the nonparanormal (npn) rank transform.
 
-The standard graphical lasso itself is the gamma = 0 branch of
-:mod:`robustggm.gamma_mm` and needs no separate code path.  The paths
-here reuse its grid, warm-started path loop, diagonal fixed point and
-weighted scatter; only the weight rule and the inner loop differ.
+Neither has a loop of its own.  A tlasso EM step is an MM step with
+kappa = 1 (gamma = 0) and the t weights, so :func:`fit_tlasso` runs
+:class:`TRule` through :func:`robustggm.gamma_mm.mm_loop`, and
+:func:`tlasso_path` shares gamma's grid, warm-started path loop and
+diagonal fixed point.  npn is the graphical lasso (gamma = 0) on the
+data :func:`npn_transform` returns: :func:`fit_nonparanormal` is
+:func:`robustggm.gamma_mm.fit` on that data, and its path is gamma = 0's.
 """
 
 from __future__ import annotations
@@ -16,14 +19,11 @@ import numpy as np
 from scipy.special import gammaln, ndtri
 from scipy.stats import rankdata
 
-from . import glasso
+from . import gamma_mm
 from .errors import DegenerateColumn, EmptyDataset
-from .gamma_mm import (
-    FitResult, SolutionPath, diagonal_fixed_point, geometric_grid, offdiag_absmax,
-    robust_init, warm_path, weighted_scatter,
-)
+from .gamma_mm import FitResult, SolutionPath, diagonal_fixed_point, geometric_grid, mm_loop, warm_path
 from .matcore import quad_form, spd_factorize
-from .objective import ModelParams, l1_offdiag
+from .objective import ModelParams, RobustConfig, l1_offdiag
 
 TLASSO_TOL = 1e-6  # EM stops once no entry of (mu, omega) moves by this much
 
@@ -52,7 +52,6 @@ class NpnConfig:
 
     delta_n: float | str = "auto"
     lam: float = 0.0
-    use_correlation: bool = False
 
     def __post_init__(self):
         if isinstance(self.delta_n, str):
@@ -64,84 +63,58 @@ class NpnConfig:
             raise ValueError("lam must be >= 0")
 
 
-def _mahalanobis(X: np.ndarray, theta: ModelParams) -> tuple[np.ndarray, float]:
-    """q_i = (x_i - mu)' omega (x_i - mu) and log|omega|, from one factorization."""
-    f = spd_factorize(theta.omega)
-    return quad_form(f, np.atleast_2d(X) - theta.mu), f.logdet
-
-
-def _t_objective(q: np.ndarray, logdet: float, omega: np.ndarray, cfg: TlassoConfig) -> float:
-    """Mean penalized negative log-likelihood of the multivariate t with
-    shape matrix omega^{-1}, from an iterate's Mahalanobis distances and
-    log|omega|.  Monitored only: the normalized-weight EM below is not
-    guaranteed to decrease it."""
-    p, nu = omega.shape[0], cfg.nu
-    const = (
-        gammaln((nu + p) / 2.0)
-        - gammaln(nu / 2.0)
-        - (p / 2.0) * (math.log(nu) + math.log(math.pi))
-        + 0.5 * logdet
-    )
-    log_t = const - ((nu + p) / 2.0) * np.log1p(q / nu)
-    return float(-np.mean(log_t) + 0.5 * cfg.lam * l1_offdiag(omega))
-
-
 def _t_weights(q: np.ndarray, p: int, nu: float) -> np.ndarray:
+    """Normalized EM weights u~_i / sum_j u~_j, u~_i = (nu + p) / (nu + q_i)."""
     raw = (nu + p) / (nu + q)
     return raw / raw.sum()
 
 
-def tlasso_weights(X: np.ndarray, theta: ModelParams, nu: float) -> np.ndarray:
-    """Normalized EM weights u_i = u~_i / sum_j u~_j with
-    u~_i = (nu + p) / (nu + (x_i - mu)' omega (x_i - mu))."""
-    return _t_weights(_mahalanobis(X, theta)[0], theta.p, nu)
+@dataclass(frozen=True)
+class TRule:
+    """tlasso's weight rule for :func:`~robustggm.gamma_mm.mm_loop`: score
+    (q, log|omega|), q_i = (x_i - mu)' omega (x_i - mu), from one
+    factorization; the normalized t weights of q; gamma = 0 in ``cfg``, so
+    kappa = 1.  It stops once no entry of (mu, omega) moves by
+    :data:`TLASSO_TOL`."""
+
+    cfg: RobustConfig
+    nu: float
+    p: int
+
+    def score(self, X: np.ndarray, theta: ModelParams, centered: np.ndarray) -> tuple[np.ndarray, float]:
+        f = spd_factorize(theta.omega)
+        return quad_form(f, centered), f.logdet
+
+    def weights(self, score: tuple[np.ndarray, float]) -> np.ndarray:
+        return _t_weights(score[0], self.p, self.nu)
+
+    def objective(self, score: tuple[np.ndarray, float], omega: np.ndarray) -> float:
+        """Mean penalized negative log-likelihood of the multivariate t with
+        shape matrix omega^{-1}.  Monitored only: the normalized-weight EM
+        is not guaranteed to decrease it."""
+        (q, logdet), p, nu = score, self.p, self.nu
+        const = (
+            gammaln((nu + p) / 2.0)
+            - gammaln(nu / 2.0)
+            - (p / 2.0) * (math.log(nu) + math.log(math.pi))
+            + 0.5 * logdet
+        )
+        log_t = const - ((nu + p) / 2.0) * np.log1p(q / nu)
+        return float(-np.mean(log_t) + 0.5 * self.cfg.lam * l1_offdiag(omega))
+
+    def stop(self, theta: ModelParams, new: ModelParams, obj: float, new_obj: float) -> bool:
+        return max(np.max(np.abs(new.mu - theta.mu)), np.max(np.abs(new.omega - theta.omega))) < TLASSO_TOL
 
 
 def fit_tlasso(
-    X: np.ndarray, cfg: TlassoConfig, init: ModelParams | None = None
+    X: np.ndarray, cfg: TlassoConfig, init: ModelParams | None = None, init_score=None
 ) -> FitResult:
-    """Penalized multivariate-t estimate via EM with a graphical-lasso
-    M-step on the weighted scatter of the normalized weights.
-
-    Stops when the max-abs change of (mu, omega) drops below
-    :data:`TLASSO_TOL`; hitting ``cfg.max_iter`` is a soft failure
-    (``converged=False``).  The returned weights are the normalized EM
-    weights at the estimate.  Each iterate is factorized once; its
-    objective and its weights share the Mahalanobis distances.
-    """
+    """Penalized multivariate-t estimate by EM, :func:`~robustggm.gamma_mm.mm_loop`
+    under :class:`TRule`: each M-step is the graphical lasso on the scatter
+    of the normalized weights.  ``init_score`` is the score of ``init``."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[0] < 2:
-        raise EmptyDataset("need at least two observations")
-    theta = init if init is not None else robust_init(X)
-    q, logdet = _mahalanobis(X, theta)
-    trace = [_t_objective(q, logdet, theta.omega, cfg)]
-    converged = False
-    iterations = 0
-    for _ in range(cfg.max_iter):
-        u = _t_weights(q, theta.p, cfg.nu)
-        mu_next = u @ X
-        s_u = weighted_scatter(X, mu_next, u)
-        sol = glasso.solve(
-            glasso.GlassoProblem(s=s_u, lam=cfg.lam), init=theta.omega
-        )
-        change = max(
-            np.max(np.abs(mu_next - theta.mu)),
-            np.max(np.abs(sol.omega - theta.omega)),
-        )
-        theta = ModelParams(mu=mu_next, omega=sol.omega)
-        q, logdet = _mahalanobis(X, theta)
-        trace.append(_t_objective(q, logdet, theta.omega, cfg))
-        iterations += 1
-        if change < TLASSO_TOL:
-            converged = True
-            break
-    return FitResult(
-        theta=theta,
-        weights=_t_weights(q, theta.p, cfg.nu),
-        objective_trace=tuple(trace),
-        converged=converged,
-        mm_iterations=iterations,
-    )
+    rule = TRule(RobustConfig(gamma=0.0, lam=cfg.lam), cfg.nu, X.shape[1])
+    return mm_loop(X, rule, init, cfg.max_iter, init_score=init_score)
 
 
 def tlasso_diagonal_start(X: np.ndarray, nu: float) -> tuple[ModelParams, np.ndarray, float]:
@@ -156,14 +129,16 @@ def tlasso_path(
     X: np.ndarray, nu: float, K: int = 10, delta: float = 0.2, max_iter: int = 200
 ) -> SolutionPath:
     """Warm-started tlasso fits on the geometric grid below tlasso's own
-    lambda_max.  The first point is its diagonal EM fixed point, with no
-    EM step (see :func:`~robustggm.gamma_mm.warm_path`)."""
+    lam1.  The first point is its diagonal EM fixed point, with no EM
+    step (see :func:`~robustggm.gamma_mm.warm_path`); each later point
+    starts from its predecessor's estimate and score."""
     theta0, _, lam1 = tlasso_diagonal_start(X, nu)
     return warm_path(
         geometric_grid(lam1, K, delta),
         fit_tlasso(X, TlassoConfig(nu=nu, lam=lam1, max_iter=0), init=theta0),
         lambda lam, last: fit_tlasso(
-            X, TlassoConfig(nu=nu, lam=lam, max_iter=max_iter), init=last.theta
+            X, TlassoConfig(nu=nu, lam=lam, max_iter=max_iter), init=last.theta,
+            init_score=last.logf,
         ),
     )
 
@@ -207,52 +182,7 @@ def npn_transform(X: np.ndarray, cfg: NpnConfig) -> np.ndarray:
     return out
 
 
-def _npn_scatter(Z: np.ndarray, use_correlation: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Column means and the biased sample covariance (or correlation)."""
-    mu = Z.mean(axis=0)
-    d = Z - mu
-    s = d.T @ d / Z.shape[0]
-    s = (s + s.T) / 2.0
-    if use_correlation:
-        scale = np.sqrt(np.diag(s))
-        s = s / np.outer(scale, scale)
-        s = (s + s.T) / 2.0
-    return mu, s
-
-
-def _npn_solve(mu, s, n: int, lam: float, start: ModelParams | None = None) -> FitResult:
-    """Graphical lasso on ``s``, cold or warm from ``start``; uniform
-    weights.  One solve, so ``mm_iterations`` is 1, as for glasso."""
-    problem = glasso.GlassoProblem(s=s, lam=lam)
-    sol = glasso.solve(problem, init=None if start is None else start.omega)
-    return _npn_result(mu, sol.omega, problem, n, 1)
-
-
-def _npn_result(mu, omega, problem: glasso.GlassoProblem, n: int, solves: int) -> FitResult:
-    return FitResult(
-        theta=ModelParams(mu=mu, omega=omega), weights=np.full(n, 1.0 / n),
-        objective_trace=(glasso.glasso_objective(omega, problem),), converged=True,
-        mm_iterations=solves,
-    )
-
-
 def fit_nonparanormal(X: np.ndarray, cfg: NpnConfig) -> FitResult:
-    """Graphical lasso on the biased sample covariance (or correlation)
-    of the transformed data; weights are reported as uniform."""
-    Z = npn_transform(X, cfg)
-    return _npn_solve(*_npn_scatter(Z, cfg.use_correlation), Z.shape[0], cfg.lam)
-
-
-def npn_path(X: np.ndarray, cfg: NpnConfig, K: int = 10, delta: float = 0.2) -> SolutionPath:
-    """Graphical lasso path on the data transformed and reduced to its
-    scatter once, below that scatter's largest off-diagonal entry lam1
-    (where the support empties).  The first point is diag(1 / s_jj), the
-    solution at lam1, with no solve; the rest are solved warm, one solve
-    per point.  ``cfg.lam`` is unused."""
-    Z = npn_transform(X, cfg)
-    mu, s = _npn_scatter(Z, cfg.use_correlation)
-    n, lam1 = Z.shape[0], offdiag_absmax(s)
-    first = _npn_result(mu, np.diag(1.0 / np.diag(s)), glasso.GlassoProblem(s=s, lam=lam1), n, 0)
-    return warm_path(
-        geometric_grid(lam1, K, delta), first, lambda lam, last: _npn_solve(mu, s, n, lam, last.theta)
-    )
+    """The graphical lasso (gamma = 0) at ``cfg.lam`` on the transformed
+    data; its weights are uniform."""
+    return gamma_mm.fit(npn_transform(X, cfg), RobustConfig(gamma=0.0, lam=cfg.lam))

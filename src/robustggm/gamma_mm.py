@@ -8,9 +8,12 @@ minimizing it reduces to a weighted mean update followed by a rescaled
 graphical lasso.  The surrogate touches the objective at the current
 iterate, so the penalized objective is non-increasing along the run.
 
-The off-diagonal support empties exactly at the penalty level
-``lambda_max``; the regularization path is fit on a geometric grid
-downward from there with warm starts.
+:func:`mm_loop` is every estimator's loop; :class:`GammaRule` is gamma's
+weight rule, and tlasso's EM runs the t rule of :mod:`robustggm.baselines`.
+
+The off-diagonal support empties exactly at the penalty level lam1 of
+:func:`diagonal_start`; the regularization path is fit on a geometric
+grid downward from there with warm starts.
 
 One fit is single-threaded (warm-start chains are sequential), but all
 functions here are pure given their inputs, so independent fits across
@@ -42,14 +45,13 @@ DIAGONAL_MAX_PASSES = 2000
 
 @dataclass(frozen=True)
 class FitResult:
-    """One converged (or iteration-capped) estimate at a fixed (gamma, lam).
+    """One converged (or iteration-capped) estimate of :func:`mm_loop`.
 
-    ``weights`` are the gamma-divergence weights evaluated at the
-    returned parameters; they are nonnegative and sum to one.  ``logf``
-    is log f(x_i) at the returned parameters, which the weights derive
-    from (None for tlasso and npn).
-    ``objective_trace`` holds the penalized objective from the initial
-    point onward and is non-increasing up to roundoff.
+    ``weights`` (nonnegative, summing to one) and ``logf`` are the weight
+    rule's weights and score at the returned parameters: log f(x_i) for
+    gamma, glasso and npn, (q, log|omega|) for tlasso.  ``objective_trace``
+    holds the rule's objective from the initial point onward, for gamma
+    non-increasing up to roundoff.
     """
 
     theta: ModelParams
@@ -58,7 +60,7 @@ class FitResult:
     converged: bool
     mm_iterations: int
     iterates: tuple | None = None
-    logf: np.ndarray | None = None
+    logf: np.ndarray | tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -161,17 +163,17 @@ def mm_step(
 ) -> ModelParams:
     """One majorize-minimize step from ``theta_t``.
 
-    ``weights`` are the gamma weights at theta_t (:func:`compute_weights`;
-    :func:`fit` passes them from the log-density it already holds); the
-    location update is their weighted mean; the precision update solves
-    the graphical lasso on the weighted scatter with log-determinant
-    coefficient k = 1/(1+gamma), warm-started at the current precision, to
-    :func:`glasso.solve`'s default tolerance.  Dividing that objective by
-    k gives the standard problem with S_w / k and lam / k, which is the
-    one solved.
+    ``weights`` are the weight rule's weights at theta_t (for gamma,
+    :func:`compute_weights`; :func:`mm_loop` passes them from the score it
+    already holds); the location update is their weighted mean; the
+    precision update solves the graphical lasso on the weighted scatter
+    with log-determinant coefficient k = 1/(1+gamma), warm-started at the
+    current precision, to :func:`glasso.solve`'s default tolerance.
+    Dividing that objective by k gives the standard problem with S_w / k
+    and lam / k, which is the one solved.
     ``centered``, when given, is an array shaped like X that receives the
-    rows the scatter is formed from, X - mu_{t+1}: :func:`fit` evaluates
-    the new iterate's log-density on them.
+    rows the scatter is formed from, X - mu_{t+1}: :func:`mm_loop` scores
+    the new iterate on them.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     mu_next = weights @ X
@@ -183,6 +185,89 @@ def mm_step(
     return ModelParams(mu=mu_next, omega=sol.omega)
 
 
+@dataclass(frozen=True)
+class GammaRule:
+    """gamma's weight rule for :func:`mm_loop`: score log f(x_i), weights
+    f^gamma, the penalized negative gamma-likelihood as objective; it stops
+    once that changes by at most ``tol`` relatively, and at gamma = 0 after
+    one step."""
+
+    cfg: RobustConfig
+    tol: float = 1e-7
+
+    def score(self, X: np.ndarray, theta: ModelParams, centered: np.ndarray) -> np.ndarray:
+        return log_density(X, theta, centered=centered)
+
+    def weights(self, logf: np.ndarray) -> np.ndarray:
+        return exp_weights(logf, self.cfg.gamma)
+
+    def objective(self, logf: np.ndarray, omega: np.ndarray) -> float:
+        return penalized_gamma_objective_logf(logf, omega, self.cfg)
+
+    def stop(self, theta: ModelParams, new: ModelParams, obj: float, new_obj: float) -> bool:
+        # at gamma = 0 the weights are uniform whatever theta is, so the
+        # surrogate is the objective itself and the step's solve minimized it
+        return self.cfg.gamma == 0.0 or abs(new_obj - obj) <= self.tol * max(1.0, abs(obj))
+
+
+def mm_loop(
+    X: np.ndarray,
+    rule,
+    init: ModelParams | None = None,
+    max_iter: int = 200,
+    keep_iterates: bool = False,
+    init_score=None,
+) -> FitResult:
+    """Iterate :func:`mm_step` under a weight rule from ``init`` (default
+    :func:`robust_init`).
+
+    The rule supplies ``score(X, theta, centered)`` of an iterate, from
+    its rows centered at its mu and independent of lam; ``weights(score)``;
+    the traced ``objective(score, omega)``; ``cfg``, whose gamma gives
+    the step's kappa = 1/(1+gamma) and lam its penalty; and
+    ``stop(theta, new, obj, new_obj)``.  Exceeding ``max_iter`` returns
+    ``converged=False`` (``max_iter=0`` evaluates ``init``).  Each iterate
+    is scored once, on the rows its step centered; ``init_score``, when
+    given, must be the score of ``init`` (a path hands each point's last
+    score to the next point).
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[0] < 2:
+        raise EmptyDataset("need at least two observations")
+    theta = init if init is not None else robust_init(X)
+    centered = np.empty_like(X)  # X - mu of the latest iterate, refilled by each step
+    score = (
+        rule.score(X, theta, np.subtract(X, theta.mu, out=centered))
+        if init_score is None else init_score
+    )
+    obj = rule.objective(score, theta.omega)
+    trace = [obj]
+    iterates = [theta] if keep_iterates else None
+    converged = False
+    iterations = 0
+    for _ in range(max_iter):
+        new = mm_step(X, theta, rule.cfg, rule.weights(score), centered=centered)
+        iterations += 1
+        score = rule.score(X, new, centered)
+        new_obj = rule.objective(score, new.omega)
+        trace.append(new_obj)
+        if keep_iterates:
+            iterates.append(new)
+        converged = rule.stop(theta, new, obj, new_obj)
+        theta, obj = new, new_obj
+        if converged:
+            break
+    return FitResult(
+        theta=theta,
+        weights=rule.weights(score),
+        objective_trace=tuple(trace),
+        converged=converged,
+        mm_iterations=iterations,
+        iterates=tuple(iterates) if keep_iterates else None,
+        logf=score,
+    )
+
+
 def fit(
     X: np.ndarray,
     cfg: RobustConfig,
@@ -192,55 +277,9 @@ def fit(
     keep_iterates: bool = False,
     init_logf: np.ndarray | None = None,
 ) -> FitResult:
-    """Minimize the penalized negative gamma-likelihood by MM iteration.
-
-    Stops when the relative change of the penalized objective falls
-    below ``tol`` (the objective is the monotone quantity; parameter
-    stagnation is not required), and at gamma = 0 after one step.
-    Exceeding ``max_iter`` is a soft failure: the result is returned
-    with ``converged=False`` (``max_iter=0`` evaluates ``init``).
-
-    Each iterate's log-density is evaluated once, on the rows its MM
-    step centered for the weighted scatter; its objective, the next
-    step's weights and the returned weights all derive from it.
-    ``init_logf``, when given, must be ``log_density(X, init)``:
-    :func:`solution_path` hands each point's last log-density to the
-    next point, which starts from the same estimate.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[0] < 2:
-        raise EmptyDataset("need at least two observations")
-    theta = init if init is not None else robust_init(X)
-    logf = log_density(X, theta) if init_logf is None else init_logf
-    obj = penalized_gamma_objective_logf(logf, theta.omega, cfg)
-    trace = [obj]
-    iterates = [theta] if keep_iterates else None
-    converged = False
-    iterations = 0
-    centered = np.empty_like(X)  # X - mu of the latest iterate, refilled by each step
-    for _ in range(max_iter):
-        theta = mm_step(X, theta, cfg, exp_weights(logf, cfg.gamma), centered=centered)
-        iterations += 1
-        logf = log_density(X, theta, centered=centered)
-        new_obj = penalized_gamma_objective_logf(logf, theta.omega, cfg)
-        trace.append(new_obj)
-        if keep_iterates:
-            iterates.append(theta)
-        # at gamma = 0 the weights are uniform whatever theta is, so the
-        # surrogate is the objective itself and the step's solve minimized it
-        if cfg.gamma == 0.0 or abs(new_obj - obj) <= tol * max(1.0, abs(obj)):
-            converged = True
-            break
-        obj = new_obj
-    return FitResult(
-        theta=theta,
-        weights=exp_weights(logf, cfg.gamma),
-        objective_trace=tuple(trace),
-        converged=converged,
-        mm_iterations=iterations,
-        iterates=tuple(iterates) if keep_iterates else None,
-        logf=logf,
-    )
+    """Minimize the penalized negative gamma-likelihood by :func:`mm_loop`
+    under :class:`GammaRule`; ``init_logf`` is the score of ``init``."""
+    return mm_loop(X, GammaRule(cfg, tol), init, max_iter, keep_iterates, init_logf)
 
 
 def offdiag_absmax(s: np.ndarray) -> float:
@@ -301,14 +340,6 @@ def diagonal_start(X: np.ndarray, gamma: float) -> tuple[ModelParams, np.ndarray
     return diagonal_fixed_point(
         X, lambda q, sig: exp_weights(q + np.log(sig).sum(), -0.5 * gamma), 1.0 + gamma
     )
-
-
-def lambda_max(X: np.ndarray, gamma: float) -> float:
-    """Smallest penalty at which the estimated precision is fully
-    diagonal: the max absolute off-diagonal of the weighted covariance
-    at the diagonal fixed point (see :func:`diagonal_start`)."""
-    _, _, lam1 = diagonal_start(X, gamma)
-    return lam1
 
 
 def geometric_grid(lam1: float, K: int, delta: float) -> np.ndarray:

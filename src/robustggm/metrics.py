@@ -37,8 +37,8 @@ class EdgeSet:
 def edge_set(omega: np.ndarray, zero_tol: float = 1e-8) -> EdgeSet:
     """Off-diagonal support of a symmetric matrix.
 
-    ``zero_tol`` only guards float dust: coordinate descent produces
-    exact zeros, so any |entry| above it is a real edge.
+    ``zero_tol`` only guards float dust: ``glasso.solve`` returns exact
+    zeros off its pattern, so any |entry| above it is a real edge.
     """
     omega = require_symmetric(np.asarray(omega, dtype=float), "omega")
     p = omega.shape[0]

@@ -2,9 +2,10 @@
 each point of its regularization path against the truth.
 
 :data:`ESTIMATORS` names the four estimators, and :func:`fit_single` /
-:func:`fit_path` dispatch on those names to :mod:`robustggm.gamma_mm`
-(gamma, and glasso as its gamma = 0 case) and :mod:`robustggm.baselines`
-(tlasso, npn).  :func:`bench_replicate` is one replicate of the study
+:func:`fit_path` dispatch on those names: gamma to :mod:`robustggm.gamma_mm`,
+glasso to its gamma = 0 case, npn to that case on the data
+:func:`robustggm.baselines.npn_transform` returns, and tlasso to
+:mod:`robustggm.baselines`.  :func:`bench_replicate` is one replicate of the study
 (simulate, fit every path, score every point with
 :func:`robustggm.metrics.score_point`); :func:`step_mean_curves` and
 :func:`min_mse_table` aggregate replicates into the mean ROC curves and
@@ -35,12 +36,12 @@ def fit_single(estimator, X, *, gamma, lam, nu, delta_n, tol, max_iter) -> FitRe
 
 def fit_path(estimator, X, *, gamma, nu, delta_n, K, delta, tol, max_iter) -> SolutionPath:
     """Warm-started decreasing-penalty path for any estimator, on the
-    geometric grid below the estimator's own lambda_max (each path
-    function documents its anchor)."""
+    geometric grid below the estimator's own lam1 (each path function
+    documents its anchor); npn's is the glasso path of the transformed data."""
     if estimator == "tlasso":
         return baselines.tlasso_path(X, nu, K=K, delta=delta, max_iter=max_iter)
     if estimator == "npn":
-        return baselines.npn_path(X, baselines.NpnConfig(delta_n=delta_n), K=K, delta=delta)
+        X = baselines.npn_transform(X, baselines.NpnConfig(delta_n=delta_n))
     g = gamma if estimator == "gamma" else 0.0
     return gamma_mm.solution_path(X, g, K=K, delta=delta, tol=tol, max_iter=max_iter)
 

@@ -8,19 +8,26 @@ from robustggm import (
     GlassoProblem,
     ModelParams,
     NpnConfig,
+    RobustConfig,
     TlassoConfig,
     fit_nonparanormal,
     fit_tlasso,
     npn_delta,
     npn_transform,
     solve,
+    weighted_scatter,
 )
-from robustggm import baselines
-from robustggm.baselines import tlasso_weights
+from robustggm import baselines, quad_form, spd_factorize, study
 from conftest import mixture_24, random_spd
 
 
 # --- tlasso -------------------------------------------------------------------
+
+def tlasso_weights(X, theta, nu):
+    """The t rule's weights at ``theta``, from its score there."""
+    rule = baselines.TRule(RobustConfig(gamma=0.0, lam=0.0), nu, theta.p)
+    return rule.weights(rule.score(X, theta, X - theta.mu))
+
 
 def test_tlasso_weight_at_center():
     theta = ModelParams(mu=np.array([1.0, -1.0]), omega=np.eye(2))
@@ -183,22 +190,6 @@ def test_npn_close_to_glasso_on_normal_data():
     assert np.all(res.weights == 1 / 2000)
 
 
-def test_npn_invariant_to_monotone_distortion():
-    # rank statistics absorb x -> x^3 on a column; full invariance of
-    # the estimate needs the scale-free (correlation) route, since the
-    # distorted column's sample moments rescale the transform
-    rng = np.random.default_rng(37)
-    om = np.eye(4)
-    om[0, 1] = om[1, 0] = 0.4
-    X = rng.multivariate_normal(np.zeros(4), np.linalg.inv(om), size=500)
-    cfg = NpnConfig(lam=0.08, use_correlation=True)
-    base = fit_nonparanormal(X, cfg)
-    distorted = X.copy()
-    distorted[:, 2] = distorted[:, 2] ** 3  # strictly increasing, ranks kept
-    again = fit_nonparanormal(distorted, cfg)
-    assert np.max(np.abs(base.theta.omega - again.theta.omega)) < 1e-10
-
-
 def test_npn_explicit_delta_validated():
     with pytest.raises(ValueError):
         NpnConfig(delta_n=0.7)
@@ -221,3 +212,93 @@ def test_tlasso_factorizes_each_iterate_once(monkeypatch):
     assert res.mm_iterations >= 2
     assert len(seen) == len(set(seen)) == res.mm_iterations + 1
     assert np.array_equal(res.weights, tlasso_weights(X, res.theta, 1.0))
+
+
+def _reference_em(X, nu, lam, init, max_iter=200):
+    """The tlasso EM over public functions, each iterate's Mahalanobis
+    distances evaluated afresh: the reference for the tlasso path's numbers."""
+    p = X.shape[1]
+    objective = baselines.TRule(RobustConfig(gamma=0.0, lam=lam), nu, p).objective
+
+    def distances(theta):
+        f = spd_factorize(theta.omega)
+        return quad_form(f, X - theta.mu), f.logdet
+
+    def weights(q):
+        raw = (nu + p) / (nu + q)
+        return raw / raw.sum()
+
+    theta = init
+    q, logdet = distances(theta)
+    trace = [objective((q, logdet), theta.omega)]
+    converged = False
+    for _ in range(max_iter):
+        u = weights(q)
+        mu = u @ X
+        omega = solve(GlassoProblem(s=weighted_scatter(X, mu, u), lam=lam), init=theta.omega).omega
+        change = max(np.max(np.abs(mu - theta.mu)), np.max(np.abs(omega - theta.omega)))
+        theta = ModelParams(mu=mu, omega=omega)
+        q, logdet = distances(theta)
+        trace.append(objective((q, logdet), omega))
+        if change < baselines.TLASSO_TOL:
+            converged = True
+            break
+    return theta, weights(q), tuple(trace), converged
+
+
+def test_tlasso_path_equals_reference_em():
+    X, _, _ = mixture_24(seed=38)
+    path = baselines.tlasso_path(X, 1.0, K=5)
+    assert all(s == "ok" for s in path.statuses)
+    theta = baselines.tlasso_diagonal_start(X, 1.0)[0]
+    for k, (lam, res) in enumerate(zip(path.lambdas, path.fits)):
+        # point 1 is the start itself, converged with no EM step
+        ref_theta, ref_w, ref_trace, ref_conv = _reference_em(
+            X, 1.0, float(lam), theta, max_iter=200 if k else 0
+        )
+        assert np.array_equal(res.theta.mu, ref_theta.mu)
+        assert np.array_equal(res.theta.omega, ref_theta.omega)
+        assert np.array_equal(res.weights, ref_w)
+        assert res.objective_trace == ref_trace
+        assert res.converged == (ref_conv or k == 0)
+        assert res.mm_iterations == len(ref_trace) - 1
+        theta = ref_theta
+
+
+def test_tlasso_path_factorizes_each_iterate_once(monkeypatch):
+    X, _, _ = mixture_24(seed=39)
+    seen = []  # the precisions factorized, kept alive so that their ids stay distinct
+    real = baselines.spd_factorize
+
+    def counting(omega):
+        seen.append(omega)
+        return real(omega)
+
+    monkeypatch.setattr(baselines, "spd_factorize", counting)
+    path = baselines.tlasso_path(X, 1.0, K=5)
+    monkeypatch.undo()
+    assert all(s == "ok" for s in path.statuses)
+    # the start is factorized once and every EM iterate once; a later
+    # point starts from the score its predecessor handed down
+    assert len(seen) == 1 + sum(f.mm_iterations for f in path.fits)
+    assert len({id(o) for o in seen}) == len(seen)
+    for f in path.fits:
+        q, logdet = f.logf
+        factor = real(f.theta.omega)
+        assert np.array_equal(q, quad_form(factor, X - f.theta.mu))
+        assert logdet == factor.logdet
+
+
+def test_npn_path_is_the_glasso_path_of_the_transformed_data():
+    X, _, _ = mixture_24(seed=40)
+    kw = dict(gamma=0.1, nu=1.0, delta_n="auto", K=5, delta=0.2, tol=1e-7, max_iter=200)
+    npn = study.fit_path("npn", X, **kw)
+    glasso = study.fit_path("glasso", npn_transform(X, NpnConfig()), **kw)
+    assert np.array_equal(npn.lambdas, glasso.lambdas)
+    assert npn.statuses == glasso.statuses
+    for a, b in zip(npn.fits, glasso.fits):
+        assert np.array_equal(a.theta.mu, b.theta.mu)
+        assert np.array_equal(a.theta.omega, b.theta.omega)
+        assert np.array_equal(a.weights, b.weights)
+        assert a.objective_trace == b.objective_trace
+        assert a.mm_iterations == b.mm_iterations

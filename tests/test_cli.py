@@ -9,7 +9,6 @@ from robustggm import baselines, cli, fileio, gamma_mm, glasso, simgen, study
 from robustggm.errors import DegenerateScatter, MaxSweepsExceeded
 from robustggm.fileio import read_csv, write_csv
 from robustggm.metrics import edge_set
-from robustggm.objective import ModelParams
 from conftest import mixture_24
 
 
@@ -525,12 +524,11 @@ def test_fit_path_first_point_is_the_start():
                           seed=simgen.replicate_seed(42, 1))
     X, _, _ = simgen.generate(spec)
     kw = dict(PATH_KW, gamma=0.05)
-    mu, s = baselines._npn_scatter(baselines.npn_transform(X, baselines.NpnConfig()), False)
     starts = {
         "gamma": gamma_mm.diagonal_start(X, 0.05)[0],
         "glasso": gamma_mm.diagonal_start(X, 0.0)[0],
         "tlasso": baselines.tlasso_diagonal_start(X, 1.0)[0],
-        "npn": ModelParams(mu=mu, omega=np.diag(1.0 / np.diag(s))),
+        "npn": gamma_mm.diagonal_start(baselines.npn_transform(X, baselines.NpnConfig()), 0.0)[0],
     }
     for estimator, start in starts.items():
         first = study.fit_path(estimator, X, **kw).fits[0]

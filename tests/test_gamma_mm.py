@@ -15,7 +15,6 @@ from robustggm import (
     diagonal_start,
     edge_set,
     fit,
-    lambda_max,
     log_density,
     mm_step,
     neg_gamma_loglik,
@@ -428,7 +427,7 @@ def test_diagonal_fixed_point_equals_recentering_loop(rule):
     assert lam1 == gamma_mm.offdiag_absmax(ref_s)
 
 
-# --- lambda_max --------------------------------------------------------------------
+# --- lam1, the anchor --------------------------------------------------------------------
 
 def test_lambda_max_p2_offdiagonal():
     rng = np.random.default_rng(16)
@@ -445,7 +444,7 @@ def test_lambda_max_gamma_zero_is_sample_covariance():
     d = X - X.mean(axis=0)
     s = d.T @ d / X.shape[0]
     off = ~np.eye(4, dtype=bool)
-    assert lambda_max(X, 0.0) == pytest.approx(float(np.abs(s[off]).max()), rel=1e-12)
+    assert diagonal_start(X, 0.0)[2] == pytest.approx(float(np.abs(s[off]).max()), rel=1e-12)
 
 
 def test_lambda_boundary_probe():
@@ -472,7 +471,7 @@ def test_path_grid_endpoints():
     assert len(path.lambdas) == 10
     assert np.all(np.diff(path.lambdas) < 0)
     assert path.lambdas[-1] == 0.2 * path.lambdas[0]
-    assert path.lambdas[0] == pytest.approx(lambda_max(X, 0.1), rel=1e-12)
+    assert path.lambdas[0] == pytest.approx(diagonal_start(X, 0.1)[2], rel=1e-12)
 
 
 def test_path_refit_idempotent():

@@ -1,13 +1,15 @@
 import ast
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
-from robustggm import GlassoProblem, solve
+from robustggm import GlassoProblem, cli, solve
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+PERFBENCH = SCRIPTS.parent / "perfbench"
 
 
 def load_script(name):
@@ -74,3 +76,33 @@ def test_perfbench_tracer_targets_resolve():
     sol = solve(GlassoProblem(s=np.array([[2.0, 0.5], [0.5, 1.0]]), lam=0.1))
     assert type(sol.iterations) is int
     assert np.isfinite(sol.kkt_residual)
+
+
+def test_perfbench_layer_metrics_are_all_measured(tmp_path, monkeypatch):
+    """Every per-layer metric of a traced benchmark round is a finite
+    number: the study workload's round (`rggm bench`, one replicate), and
+    the path workload's round (`fit --lambda-grid`, then `evaluate`) on
+    small data.  A target that resolves but is never called reads 0, but
+    a ratio whose denominator is never called reads null:
+    ``gamma_mm.mm_steps_per_point`` when nothing calls ``gamma_mm.fit``."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    workloads = importlib.import_module("workloads")
+    monkeypatch.setenv("RGGM_THREADS", "1")
+    for w in (workloads.WORKLOADS["study_p25"], workloads.Workload("path_p10", p=10, n=300)):
+        out = tmp_path / w.name
+        tr = tracer.Tracer()
+        tr.install()
+        try:
+            if not w.is_study:
+                assert cli.main(workloads.simulate_argv(w, out)) == 0
+            tr.phase = "body"
+            (out / "round0").mkdir(parents=True)
+            monkeypatch.chdir(out / "round0")
+            for argv in workloads.round_argvs(w):
+                assert cli.main(argv) == 0
+        finally:
+            tr.uninstall()
+        metrics = tracer.layer_metrics(tr, 1, 1.0, 1.0)
+        unmeasured = [k for k, (v, _) in metrics.items() if v is None or not math.isfinite(v)]
+        assert not unmeasured, (w.name, unmeasured)
