@@ -22,7 +22,7 @@ from .errors import (
     DimensionMismatch,
     EmptyDataset,
     InputError,
-    MaxSweepsExceeded,
+    MaxStepsExceeded,
     NonPositiveDiagonal,
     NotPositiveDefinite,
     RobustGgmError,

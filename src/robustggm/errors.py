@@ -29,7 +29,7 @@ class NonPositiveDiagonal(RobustGgmError):
     """The input covariance-like matrix has a non-positive diagonal entry."""
 
 
-class MaxSweepsExceeded(RobustGgmError):
+class MaxStepsExceeded(RobustGgmError):
     """The graphical-lasso solver ran out of Newton steps before meeting
     the KKT tolerance.  Carries the last iterate, its KKT residual and
     the number of steps taken."""

@@ -12,11 +12,18 @@ pattern.  On the orthant those signs define, the objective is the
 smooth -log|Omega| + tr(Omega T) with T = S + lam sign on E and S on
 the diagonal: covariance selection with a shifted S (Dempster,
 Biometrics 1972).  Each step is a Newton step for it over the
-pattern's entries.  The direction comes from conjugate gradients on the
-Hessian-vector product mask * (Sigma D Sigma), so no Hessian is ever
+pattern's entries.  The direction comes from conjugate gradients (CG) on
+the Hessian-vector product mask * (Sigma D Sigma), so no Hessian is ever
 formed, and an Armijo search accepts only trial points that factorize.
-With E empty the pattern's minimizer diag(1 / s_jj) is taken in one
-step instead.
+CG stops once its residual is at most min(1e-2, |g| / max_j sigma_jj)
+|g|, for the pattern's gradient g: a forcing term that shrinks with the
+gradient, so the steps converge superlinearly near the solution
+(Eisenstat & Walker, SIAM J. Sci. Comput. 1996), and that carries no
+units.  Sigma is computed from each accepted iterate's Cholesky factor
+(LAPACK dpotri), the factor its line search already made; kkt_residual
+takes the same route, so a solve's reported residual equals
+kkt_residual of its answer bit for bit.  With E empty the pattern's
+minimizer diag(1 / s_jj) is taken in one step instead.
 
 The pattern changes in three ways:
 
@@ -36,7 +43,7 @@ below kkt_tol, so a warm start at the solution takes no step, and one
 near it, as along an MM path or a penalty path, takes a few.  Every step
 lowers the objective and every iterate is positive definite, so
 recorded objective traces are monotone.  When the step budget runs out,
-MaxSweepsExceeded carries the last iterate.
+MaxStepsExceeded carries the last iterate.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ import numpy as np
 from .errors import (
     DegenerateScatter,
     DimensionMismatch,
-    MaxSweepsExceeded,
+    MaxStepsExceeded,
     NonPositiveDiagonal,
     NotPositiveDefinite,
 )
@@ -80,11 +87,13 @@ class GlassoProblem:
 class GlassoSolution:
     """A solve's precision matrix and its work: ``iterations`` counts
     Newton steps, the closed-form step to diag(1 / s_jj) included, and
-    is 0 when the start already was the solution.  A recorded objective
-    trace holds the objective after each step."""
+    is 0 when the start already was the solution; ``cg_iterations``
+    counts the conjugate-gradient iterations of their directions.  A
+    recorded objective trace holds the objective after each step."""
 
     omega: np.ndarray
     iterations: int
+    cg_iterations: int
     kkt_residual: float
     objective_trace: tuple | None = None
 
@@ -157,12 +166,13 @@ def _newton_step(x, f, signs, iu, ju, offd, t, g, sigma):
     step is cut at the first entry of E that would cross zero, and
     Armijo backtracking on the pattern's objective starts there.
     Returns (X, its factorization, mask of the packed entries X sets to
-    zero: those the cut reaches, and any that rounding pushes across).
-    X is exactly symmetric and zero off the pattern.
+    zero: those the cut reaches, and any that rounding pushes across,
+    the direction's CG iterations).  X is exactly symmetric and zero off
+    the pattern.
     """
     w = np.where(offd, 2.0, 1.0)
     g = w * g
-    d = _newton_direction(sigma, iu, ju, w, g)
+    d, cg = _newton_direction(sigma, iu, ju, w, g, _forcing(g, sigma))
     xk, sk = x[iu, ju], signs[iu, ju]
     d[(xk == 0.0) & (sk * d < 0.0)] = 0.0
     slope = float(g @ d)
@@ -188,41 +198,54 @@ def _newton_step(x, f, signs, iu, ju, offd, t, g, sigma):
             # objective's rounding to resolve
             if (f_trial <= fx + 1e-4 * alpha * slope
                     or -alpha * slope <= 1e-14 * max(1.0, abs(fx))):
-                return trial, ft, hit
+                return trial, ft, hit, cg
         alpha *= 0.5
 
 
-def _newton_direction(sigma, iu, ju, w, g, rtol=1e-2, max_iter=200):
+def _forcing(g, sigma):
+    """Relative CG tolerance for the Newton direction at weighted
+    gradient g: min(1e-2, |g| / max_j sigma_jj).  It shrinks with the
+    gradient, so the inexact Newton steps converge superlinearly
+    (Eisenstat & Walker, SIAM J. Sci. Comput. 1996), and it is
+    dimensionless: g and sigma carry the same units."""
+    return min(1e-2, float(np.sqrt(g @ g)) / float(np.diag(sigma).max()))
+
+
+def _newton_direction(sigma, iu, ju, w, g, eta, max_iter=200):
     """Approximately solve H d = -g by Jacobi-preconditioned conjugate
     gradients, for the packed Hessian H of -log|X| at X = sigma^{-1}:
     (H v)_k = w_k (Sigma V Sigma)_k with V the symmetric unpacking of v,
     two p x p matrix products per iteration.  Stops once the residual
-    norm falls to ``rtol`` times |g|."""
+    norm falls to ``eta`` times |g|.  V is filled and read through flat
+    indices.  Returns (d, the number of iterations)."""
+    n = sigma.shape[0]
+    up, lo = iu * n + ju, ju * n + iu
     dg = np.diag(sigma)
-    h = np.where(iu != ju, 2.0 * (dg[iu] * dg[ju] + sigma[iu, ju] ** 2), dg[iu] ** 2)
+    h = np.where(iu != ju, 2.0 * (dg[iu] * dg[ju] + sigma.take(up) ** 2), dg[iu] ** 2)
     d = np.zeros_like(g)
     r = -g
     z = r / h
     v = z.copy()
     rz = float(r @ z)
-    stop = rtol * float(np.sqrt(g @ g))
-    V = np.zeros_like(sigma)
-    for _ in range(max_iter):
-        V[iu, ju] = v
-        V[ju, iu] = v
-        hv = w * (sigma @ V @ sigma)[iu, ju]
+    stop = eta * eta * float(g @ g)
+    V = np.zeros(sigma.shape)
+    flat = V.ravel()  # a view: V is C-contiguous
+    for k in range(1, max_iter + 1):
+        flat[up] = v
+        flat[lo] = v
+        hv = w * (sigma @ V @ sigma).take(up)
         curv = float(v @ hv)
         if curv <= 0.0:
             break
         a = rz / curv
         d += a * v
         r -= a * hv
-        if np.sqrt(r @ r) <= stop:
+        if float(r @ r) <= stop:
             break
         z = r / h
         rz, rz_old = float(r @ z), rz
         v = z + (rz / rz_old) * v
-    return d
+    return d, k
 
 
 def solve(
@@ -243,7 +266,7 @@ def solve(
         signed off-diagonal support is the first pattern.  Defaults to
         diag(1 / (s_jj + lam)), whose pattern is empty.
     max_steps : int
-        Newton-step budget; exceeding it raises MaxSweepsExceeded.
+        Newton-step budget; exceeding it raises MaxStepsExceeded.
     kkt_tol : float
         Required KKT residual on return.
     record_trace : bool
@@ -257,7 +280,7 @@ def solve(
 
     Raises
     ------
-    MaxSweepsExceeded
+    MaxStepsExceeded
         Carries the last iterate, its KKT residual and the step count.
     NonPositiveDiagonal
         If s has a non-positive diagonal entry.
@@ -293,7 +316,7 @@ def solve(
     signs = np.sign(x)
     gtol = 1e-2 * kkt_tol
     trace = [] if record_trace else None
-    steps = 0
+    steps = cg = 0
     while True:
         iu, ju, offd, t, g = _pattern(signs, S, lam, sigma)
         leave = (x[iu, ju] == 0.0) & (g * signs[iu, ju] >= 0.0)
@@ -304,15 +327,16 @@ def solve(
             diff = S - sigma
             res = _kkt_max(x, diff, lam)
             if res < kkt_tol:
-                return GlassoSolution(x, steps, res, tuple(trace) if record_trace else None)
+                return GlassoSolution(x, steps, cg, res, tuple(trace) if record_trace else None)
             enter = (signs == 0.0) & (np.abs(diff) - lam >= kkt_tol)
             if enter.any():
                 signs[enter] = -np.sign(diff[enter])
                 iu, ju, offd, t, g = _pattern(signs, S, lam, sigma)
         if steps == max_steps:
-            raise MaxSweepsExceeded(omega=x, residual=_kkt_max(x, S - sigma, lam), steps=steps)
+            raise MaxStepsExceeded(omega=x, residual=_kkt_max(x, S - sigma, lam), steps=steps)
         if offd.any():
-            x, f, hit = _newton_step(x, f, signs, iu, ju, offd, t, g, sigma)
+            x, f, hit, step_cg = _newton_step(x, f, signs, iu, ju, offd, t, g, sigma)
+            cg += step_cg
             signs[iu[hit], ju[hit]] = signs[ju[hit], iu[hit]] = 0.0
         else:  # the empty pattern's minimizer is closed-form
             x = np.diag(1.0 / np.diag(S))

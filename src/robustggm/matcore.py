@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack, solve_triangular
+from scipy.linalg import lapack
 
 from .errors import DimensionMismatch, NotPositiveDefinite
 
@@ -44,15 +44,18 @@ class SpdFactor:
     def dim(self) -> int:
         return self.lower.shape[0]
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve M x = b for the factored matrix M."""
-        y = solve_triangular(self.lower, b, lower=True)
-        return solve_triangular(self.lower, y, lower=True, trans="T")
-
     def inverse(self) -> np.ndarray:
-        """Dense inverse of the factored matrix, exactly symmetric."""
-        inv = self.solve(np.eye(self.dim))
-        return symmetrize(inv)
+        """Dense inverse of the factored matrix, exactly symmetric.
+
+        LAPACK ``dpotri`` writes the inverse's lower triangle over a copy
+        of the factor, whose upper triangle is zero; adding the strict
+        lower triangle to the transpose mirrors it, in C order."""
+        if self.dim == 0:  # LAPACK refuses a leading dimension of 0
+            return np.zeros((0, 0))
+        inv, info = lapack.dpotri(self.lower, lower=1)
+        if info != 0:
+            raise ValueError(f"dpotri failed with info {info}")
+        return inv.T + np.tril(inv, -1)
 
 
 def spd_factorize(m: np.ndarray) -> SpdFactor:

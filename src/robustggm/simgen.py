@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import SupportCollision
-from .matcore import inv_spd, spd_factorize
+from .matcore import spd_factorize
 from .metrics import EdgeSet
 
 GRAPH, PRECISION, SAMPLES = 0, 1, 2
@@ -132,7 +132,11 @@ def make_precision(adj: EdgeSet, rng: np.random.Generator) -> GroundTruth:
     e = edge_matrix(adj, rng)
     lam_min = float(np.linalg.eigvalsh(e)[0])
     shifted = e + (0.1 - lam_min) * np.eye(p)
-    l = np.diag(inv_spd(shifted))
+    # the covariance's diagonal by two triangular solves against I, the
+    # arithmetic every simulated dataset was drawn with
+    low = spd_factorize(shifted).lower
+    y = solve_triangular(low, np.eye(p), lower=True)
+    l = np.diag(solve_triangular(low, y, lower=True, trans="T"))
     root = np.sqrt(l)
     omega = shifted * np.outer(root, root)
     omega = (omega + omega.T) / 2.0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from robustggm import baselines, cli, fileio, gamma_mm, glasso, simgen, study
-from robustggm.errors import DegenerateScatter, MaxSweepsExceeded
+from robustggm.errors import DegenerateScatter, MaxStepsExceeded
 from robustggm.fileio import read_csv, write_csv
 from robustggm.metrics import edge_set
 from conftest import mixture_24
@@ -214,7 +214,7 @@ def test_fit_grid_point_failure_exit_2_with_artifacts(simdir, tmp_path, monkeypa
 
     def failing(problem, **kw):
         if problem.lam == second:
-            raise MaxSweepsExceeded(problem.s, 1.0, 0)
+            raise MaxStepsExceeded(problem.s, 1.0, 0)
         return orig(problem, **kw)
 
     monkeypatch.setattr(glasso, "solve", failing)

@@ -11,14 +11,14 @@ from robustggm import (
     glasso,
     simgen,
     study,
-    MaxSweepsExceeded,
+    MaxStepsExceeded,
     NonPositiveDiagonal,
     NotPositiveDefinite,
     glasso_objective,
     kkt_residual,
     solve,
 )
-from robustggm.matcore import require_symmetric
+from robustggm.matcore import require_symmetric, spd_factorize
 from conftest import random_spd
 
 
@@ -134,7 +134,7 @@ def test_nonpositive_diagonal_rejected():
         GlassoProblem(s=s, lam=0.1)
 
 
-def test_max_sweeps_carries_iterate():
+def test_max_steps_carries_iterate():
     """Reaching ``max_steps`` Newton steps raises with the last iterate,
     its KKT residual and the step count; a solve from that iterate goes
     on to the same answer as an uncapped one."""
@@ -142,7 +142,7 @@ def test_max_sweeps_carries_iterate():
     prob = random_problem(rng, 4, lam_scale=0.1)
     full = solve(prob)
     assert full.iterations > 2
-    with pytest.raises(MaxSweepsExceeded,
+    with pytest.raises(MaxStepsExceeded,
                        match=r"^no convergence after 2 Newton steps \(KKT residual ") as exc:
         solve(prob, max_steps=2)
     assert exc.value.steps == 2
@@ -151,7 +151,7 @@ def test_max_sweeps_carries_iterate():
     resumed = solve(prob, init=exc.value.omega)
     assert resumed.iterations < full.iterations
     assert np.max(np.abs(resumed.omega - full.omega)) < 1e-6
-    with pytest.raises(MaxSweepsExceeded) as exc:
+    with pytest.raises(MaxStepsExceeded) as exc:
         solve(prob, max_steps=0)  # the default start is not the solution
     assert exc.value.steps == 0
 
@@ -178,14 +178,65 @@ def test_unpenalized_singular_scatter_refused_at_once():
 )
 def test_solve_iterates_exactly_symmetric(seed, p, lam_scale, kind):
     """Omega stays exactly symmetric with no symmetrizing step: the
-    returned solution, and the iterate MaxSweepsExceeded carries."""
+    returned solution, and the iterate MaxStepsExceeded carries."""
     rng = np.random.default_rng(seed)
     prob = random_problem(rng, p, lam_scale=lam_scale)
     init = warm_start(rng, prob, kind)
     require_symmetric(solve(prob, init=init).omega)
-    with pytest.raises(MaxSweepsExceeded) as exc:
+    with pytest.raises(MaxStepsExceeded) as exc:
         solve(prob, init=init, max_steps=1, kkt_tol=0.0)
     require_symmetric(exc.value.omega)
+
+
+# --- Newton direction and inverse ----------------------------------------------
+
+def _packed_hessian(sigma, iu, ju):
+    """Dense packed Hessian of -log|X| at X = sigma^{-1} over the entries
+    (iu, ju), off-diagonal entries counted twice: H = W K W / 2 with
+    K_kl = sigma_ac sigma_bd + sigma_ad sigma_bc for k = (a, b), l = (c, d)."""
+    w = np.where(iu != ju, 2.0, 1.0)
+    K = (sigma[np.ix_(iu, iu)] * sigma[np.ix_(ju, ju)]
+         + sigma[np.ix_(iu, ju)] * sigma[np.ix_(ju, iu)])
+    return 0.5 * w[:, None] * K * w[None, :], w
+
+
+def _random_pattern(rng, p):
+    """The diagonal and a random subset of the upper off-diagonal."""
+    keep = np.triu(rng.random((p, p)) < 0.6, 1) | np.eye(p, dtype=bool)
+    return np.nonzero(keep)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 8), g_scale=st.floats(1e-6, 10.0))
+def test_newton_direction_against_dense_hessian(seed, p, g_scale):
+    """The CG direction meets the forcing bound |H d + g| <= eta |g|
+    against a Hessian formed densely, and with eta = 0 it is the exact
+    Newton direction.  (Run on at eta = 0, CG's recursive residual
+    underflows within 200 iterations, so the exact run is capped at four
+    per unknown.)"""
+    rng = np.random.default_rng(seed)
+    sigma = random_spd(rng, p, scale=0.5)
+    iu, ju = _random_pattern(rng, p)
+    H, w = _packed_hessian(sigma, iu, ju)
+    g = g_scale * rng.standard_normal(len(iu))
+    gnorm = np.linalg.norm(g)
+    eta = glasso._forcing(g, sigma)
+    assert eta == min(1e-2, gnorm / np.diag(sigma).max())
+    d, iters = glasso._newton_direction(sigma, iu, ju, w, g, eta)
+    assert 1 <= iters < 200
+    assert np.linalg.norm(H @ d + g) <= (eta + 1e-10) * gnorm
+    exact = np.linalg.solve(H, -g)
+    d0, _ = glasso._newton_direction(sigma, iu, ju, w, g, 0.0, max_iter=4 * len(g))
+    assert np.max(np.abs(d0 - exact)) <= 1e-10 * np.max(np.abs(exact))
+
+
+def test_inverse_of_diagonal_is_exact():
+    """A diagonal x is inverted elementwise, with or without its factor:
+    exactly 1/d, where a triangular inverse could round."""
+    d = np.array([3.0, 7.0, 0.1, 1e-3, 49.0])
+    x = np.diag(d)
+    for f in (None, spd_factorize(x)):
+        np.testing.assert_array_equal(glasso._inverse(x, f), np.diag(1.0 / d))
 
 
 # --- kkt_residual ------------------------------------------------------------
@@ -362,7 +413,7 @@ def test_rejected_finish_sweeps_on(corrupt, kkt_tol, first_scale):
         assert np.max(np.abs(sol.omega - reference.omega)) < 1e-6
 
 
-def test_warm_start_on_the_right_support_finishes_with_no_sweep():
+def test_warm_start_on_the_right_support_finishes_in_few_steps():
     """At its own solution the start already is the answer: no Newton
     step, the same Omega bit for bit.  From the solution at a 1% smaller
     penalty, on the same signed support, a few Newton steps on that
@@ -445,13 +496,15 @@ def test_warm_start_one_entry_off_the_solution():
 @pytest.fixture(scope="module")
 def study_p25_work():
     """All four paths on the acceptance replicate (p=25, n=200, model
-    ii, replicate 0 of seed 42), with each solve's Newton steps."""
+    ii, replicate 0 of seed 42), with each solve's Newton steps and CG
+    iterations."""
     solve_ = glasso.solve
-    work = {"steps": []}
+    work = {"steps": [], "cg": []}
 
     def counted_solve(*args, **kw):
         sol = solve_(*args, **kw)
         work["steps"].append(sol.iterations)
+        work["cg"].append(sol.cg_iterations)
         return sol
 
     spec = simgen.SimSpec(p=25, n=200, model="ii", epsilon=0.1, eta=5.0, ba_m=1,
@@ -467,13 +520,14 @@ def study_p25_work():
     return work
 
 
-def test_study_p25_sweep_count(study_p25_work):
+def test_study_p25_newton_step_count(study_p25_work):
     """Work-count regression on the acceptance replicate: all four paths
-    together take 883 Newton steps over 186 solves.  The solves are one
-    per glasso and npn point, one per MM/EM step of the gamma and tlasso
-    points, and none at the first point of any path, which is its
-    start."""
+    together take 704 Newton steps, with 11,423 CG iterations in their
+    directions, over 186 solves.  The solves are one per glasso and npn
+    point, one per MM/EM step of the gamma and tlasso points, and none
+    at the first point of any path, which is its start."""
     assert all(set(statuses) == {"ok"} for statuses in study_p25_work["statuses"])
     steps = study_p25_work["steps"]
     assert len(steps) == 186
-    assert sum(steps) <= 950
+    assert sum(steps) <= 740
+    assert sum(study_p25_work["cg"]) <= 12000

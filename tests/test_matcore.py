@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustggm import (
     DimensionMismatch,
@@ -81,6 +83,23 @@ def test_factor_reconstructs_source():
         err = np.linalg.norm(f.lower @ f.lower.T - m) / np.linalg.norm(m)
         assert err < 1e-10
         assert np.all(np.diag(f.lower) > 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 12), scale=st.floats(1e-3, 10.0))
+def test_inverse_exactly_symmetric_and_inverts(seed, p, scale):
+    """SpdFactor.inverse of a random SPD matrix is exactly symmetric, C
+    ordered, and inverts the matrix to rounding."""
+    m = random_spd(np.random.default_rng(seed), p, scale=scale)
+    inv = spd_factorize(m).inverse()
+    assert np.array_equal(inv, inv.T)
+    assert inv.flags["C_CONTIGUOUS"]
+    cond = np.linalg.cond(m)
+    assert np.max(np.abs(m @ inv - np.eye(p))) < 1e-13 * p * cond
+
+
+def test_inverse_of_empty_matrix():
+    assert spd_factorize(np.zeros((0, 0))).inverse().shape == (0, 0)
 
 
 def test_quad_form_identity():

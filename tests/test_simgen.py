@@ -116,6 +116,38 @@ def test_edge_draws_have_paper_magnitudes():
         assert e[0, 1] == e[1, 0]
 
 
+def _reference_make_precision(adj, rng):
+    """make_precision's arithmetic spelled out with LAPACK's Cholesky and
+    two triangular solves against I: the reference every simulated
+    dataset is pinned to."""
+    from scipy.linalg import lapack, solve_triangular
+    from robustggm.simgen import edge_matrix
+
+    p = adj.p
+    e = edge_matrix(adj, rng)
+    shifted = e + (0.1 - float(np.linalg.eigvalsh(e)[0])) * np.eye(p)
+    low, info = lapack.dpotrf(shifted, lower=1, clean=1)
+    assert info == 0
+    y = solve_triangular(low, np.eye(p), lower=True)
+    inv = solve_triangular(low, y, lower=True, trans="T")
+    root = np.sqrt(np.diag((inv + inv.T) / 2.0))
+    omega = shifted * np.outer(root, root)
+    return (omega + omega.T) / 2.0
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (5, 1), (12, 2), (25, 1), (60, 3)])
+def test_make_precision_matches_reference_bit_for_bit(p, m):
+    """The truth, and so every dataset drawn from it, does not move when
+    the package's inverse routes change: make_precision equals the
+    reference computation exactly."""
+    for seed in range(5):
+        adj = ba_graph(p, m, derive_rng(seed, GRAPH))
+        truth = make_precision(adj, derive_rng(seed, PRECISION))
+        np.testing.assert_array_equal(
+            truth.omega, _reference_make_precision(adj, derive_rng(seed, PRECISION))
+        )
+
+
 def test_make_precision_invariants_randomized():
     for seed in range(100):
         adj = ba_graph(8, 1, derive_rng(seed, GRAPH))
