@@ -40,7 +40,7 @@ from .gamma_mm import (
     weighted_scatter,
 )
 from .glasso import GlassoProblem, GlassoSolution, glasso_objective, kkt_residual, solve
-from .matcore import SpdFactor, inv_spd, quad_form, spd_factorize, symmetrize
+from .matcore import SpdFactor, inv_spd, quad_form, spd_factorize
 from .metrics import (
     EdgeSet,
     common_edges,

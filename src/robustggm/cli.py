@@ -16,21 +16,23 @@ fans replicates across.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
 
 from . import baselines, fileio, metrics, simgen, study
 from .errors import InputError, RobustGgmError
-from .gamma_mm import FitResult
+from .gamma_mm import FitResult, fit_status
 from .objective import RobustConfig
 
 
 def _progress(args, msg: str) -> None:
-    if not getattr(args, "quiet", False):
+    if not args.quiet:
         print(msg, file=sys.stderr)
 
 
@@ -104,32 +106,23 @@ def _fit_record(lam, res: FitResult | None, status: str) -> dict:
 
 
 def _write_fit_artifacts(outdir: Path, config: dict, lambdas, fits, statuses, grid: bool):
-    records = [
-        _fit_record(lam, res, status)
-        for lam, res, status in zip(lambdas, fits, statuses)
-    ]
-    final = next(
-        (r for r in reversed(records) if "omega" in r),
-        None,
-    )
+    records = [_fit_record(*point) for point in zip(lambdas, fits, statuses)]
+    final = next((r for r in reversed(records) if "omega" in r), None)
     doc = {"config": config, "fits": records}
     if final is not None:
-        for key in (
-            "mu", "omega", "edges", "weights", "objective_trace", "converged",
-        ):
+        for key in ("mu", "omega", "edges", "weights", "objective_trace", "converged"):
             doc[key] = final[key]
     fileio.write_json(outdir / "fit.json", doc)
     if grid:
-        rows = []
-        for rec in records:
-            rows.append(
-                (
-                    rec["lambda"],
-                    rec.get("nnz", -1),
-                    rec["objective_trace"][-1] if "objective_trace" in rec else 0.0,
-                    fileio.edge_hash(rec.get("edges", [])),
-                )
+        rows = [
+            (
+                rec["lambda"],
+                rec.get("nnz", -1),
+                rec["objective_trace"][-1] if "objective_trace" in rec else 0.0,
+                fileio.edge_hash(rec.get("edges", [])),
             )
+            for rec in records
+        ]
         fileio.write_tsv(
             outdir / "path.tsv", ["lambda", "nnz", "objective", "edge_hash"], rows
         )
@@ -161,6 +154,12 @@ def run_simulate(args) -> int:
     return 0
 
 
+def _exit_code(statuses) -> int:
+    """The exit rule of `fit` and `bench`: 2 when any status is not "ok"
+    (a whole path that failed counts as one "error: ..." point), else 0."""
+    return 0 if all(s == "ok" for s in statuses) else 2
+
+
 def run_fit(args) -> int:
     X = fileio.read_csv(args.input)
     if args.normalize != "none":
@@ -186,15 +185,11 @@ def run_fit(args) -> int:
         config["lambdas"] = [float(v) for v in lambdas]
     else:
         config["lambda"] = args.lam
-        try:
-            res = study.fit_single(args.estimator, X, lam=args.lam, **kw)
-            status = "ok" if res.converged else "max_iter"
-        except RobustGgmError as exc:
-            res, status = None, f"error: {exc}"
+        res, status = fit_status(study.fit_single, args.estimator, X, lam=args.lam, **kw)
         lambdas, fits, statuses = [args.lam], [res], [status]
     _write_fit_artifacts(outdir, config, lambdas, fits, statuses, grid)
     _progress(args, f"wrote {outdir / 'fit.json'}")
-    return 2 if any(s != "ok" for s in statuses) else 0
+    return _exit_code(statuses)
 
 
 def _without_weights(pairs: list) -> dict:
@@ -293,29 +288,19 @@ def run_bench(args) -> int:
     if args.replicates < 1:
         raise InputError("need at least one replicate")
     K, delta = _parse_grid(args.lambda_grid)
-    tasks = []
-    for r in range(args.replicates):
-        tasks.append(
-            {
-                "replicate": r,
-                "spec": _sim_spec(args, simgen.replicate_seed(args.seed, r)),
-                "estimators": estimators,
-                "gamma": args.gamma, "nu": args.nu, "K": K, "delta": delta,
-                "tol": args.tol, "max_iter": args.max_iter,
-                "normalize": args.normalize,
-            }
-        )
-    workers = min(workers, len(tasks))
-    if workers == 1:
-        results = []
-        for t in tasks:
-            results.append(study.bench_replicate(t))
-            _progress(args, f"replicate {t['replicate'] + 1}/{len(tasks)} done")
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(study.bench_replicate, tasks))
-        _progress(args, f"{len(tasks)} replicates done on {workers} workers")
-    results.sort(key=lambda r: r["replicate"])
+    one_replicate = functools.partial(
+        study.bench_replicate, estimators=estimators, gamma=args.gamma, nu=args.nu,
+        K=K, delta=delta, tol=args.tol, max_iter=args.max_iter, normalize=args.normalize,
+    )
+    replicates = range(args.replicates)
+    specs = [_sim_spec(args, simgen.replicate_seed(args.seed, r)) for r in replicates]
+    workers = min(workers, args.replicates)
+    results = []
+    # both maps yield in replicate order, as each replicate is done
+    with (ProcessPoolExecutor(workers) if workers > 1 else nullcontext()) as pool:
+        for rep in (pool.map if pool else map)(one_replicate, replicates, specs):
+            results.append(rep)
+            _progress(args, f"replicate {len(results)}/{args.replicates} done")
 
     grid, means = study.step_mean_curves(results, estimators)
     mse_rows = study.min_mse_table(results, estimators)
@@ -357,81 +342,76 @@ def run_bench(args) -> int:
     )
     fileio.write_tsv(outdir / "mse_summary.tsv", ["replicate"] + estimators, mse_rows)
     _progress(args, f"wrote {outdir / 'bench.json'}")
-    failed = any(
-        "error" in rep["estimators"][est]
-        or any(pt.get("status", "ok").startswith("error") for pt in rep["estimators"][est]["points"])
+    return _exit_code(
+        status
         for rep in results
-        for est in estimators
+        for path in rep["estimators"].values()
+        for status in ([f"error: {path['error']}"] if "error" in path else [pt["status"] for pt in path["points"]])
     )
-    return 2 if failed else 0
 
 
 # --- argument parsing --------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """The `rggm` parser.  Flags two subcommands share are declared once,
+    in a parent parser.  Parents share their Action objects, so a flag
+    whose default differs between subcommands (``--gamma``,
+    ``--lambda-grid``) is declared in each: a ``set_defaults`` on one
+    subparser would rewrite a shared flag's default in every other."""
+    io = argparse.ArgumentParser(add_help=False)
+    io.add_argument("--out", required=True)
+    io.add_argument("--quiet", action="store_true")
+
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--p", type=int, required=True)
+    data.add_argument("--n", type=int, required=True)
+    data.add_argument("--model", choices=("i", "ii", "iii"), required=True)
+    data.add_argument("--epsilon", type=float, default=0.0)
+    data.add_argument("--eta", type=float, default=0.0)
+    data.add_argument("--m", type=int, default=1, help="edges per new node")
+    data.add_argument("--seed", type=int, default=0)
+
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument("--nu", type=float, default=1.0)
+    solver.add_argument("--normalize", choices=("none", "sd", "mad"), default="none")
+    solver.add_argument("--tol", type=float, default=1e-7)
+    solver.add_argument("--max-iter", type=int, default=200)
+
     parser = argparse.ArgumentParser(
         prog="rggm",
         description="Robust sparse Gaussian graphical modeling toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="generate a benchmark dataset")
-    sim.add_argument("--p", type=int, required=True)
-    sim.add_argument("--n", type=int, required=True)
-    sim.add_argument("--model", choices=("i", "ii", "iii"), required=True)
-    sim.add_argument("--epsilon", type=float, default=0.0)
-    sim.add_argument("--eta", type=float, default=0.0)
-    sim.add_argument("--m", type=int, default=1, help="edges per new node")
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--out", required=True)
-    sim.add_argument("--quiet", action="store_true")
+    sim = sub.add_parser("simulate", parents=[data, io], help="generate a benchmark dataset")
     sim.set_defaults(func=run_simulate)
 
-    fit = sub.add_parser("fit", help="fit one estimator to a CSV dataset")
+    fit = sub.add_parser("fit", parents=[solver, io], help="fit one estimator to a CSV dataset")
     fit.add_argument("--estimator", choices=study.ESTIMATORS, required=True)
     fit.add_argument("--input", required=True)
-    fit.add_argument("--out", required=True)
     fit.add_argument("--gamma", type=float, default=0.1)
     lam = fit.add_mutually_exclusive_group(required=True)
     lam.add_argument("--lambda", dest="lam", type=float)
     lam.add_argument("--lambda-grid", help="'default' or 'K,DELTA'")
-    fit.add_argument("--nu", type=float, default=1.0)
     fit.add_argument("--delta-n", default="auto")
-    fit.add_argument("--normalize", choices=("none", "sd", "mad"), default="none")
-    fit.add_argument("--tol", type=float, default=1e-7)
-    fit.add_argument("--max-iter", type=int, default=200)
-    fit.add_argument("--quiet", action="store_true")
     fit.set_defaults(func=run_fit)
 
-    ev = sub.add_parser("evaluate", help="score fit artifacts against a truth")
+    ev = sub.add_parser("evaluate", parents=[io], help="score fit artifacts against a truth")
     ev.add_argument("--fit", required=True)
     ev.add_argument("--truth", default=None)
     ev.add_argument("--fit-b", default=None)
-    ev.add_argument("--out", required=True)
-    ev.add_argument("--quiet", action="store_true")
     ev.set_defaults(func=run_evaluate)
 
-    bench = sub.add_parser("bench", help="replicated simulate/fit/evaluate")
-    bench.add_argument("--p", type=int, required=True)
-    bench.add_argument("--n", type=int, required=True)
-    bench.add_argument("--model", choices=("i", "ii", "iii"), required=True)
-    bench.add_argument("--epsilon", type=float, default=0.0)
-    bench.add_argument("--eta", type=float, default=0.0)
-    bench.add_argument("--m", type=int, default=1)
+    bench = sub.add_parser(
+        "bench", parents=[data, solver, io], help="replicated simulate/fit/evaluate"
+    )
     bench.add_argument("--gamma", type=float, default=0.05)
-    bench.add_argument("--nu", type=float, default=1.0)
     bench.add_argument("--replicates", type=int, default=20)
-    bench.add_argument("--seed", type=int, default=0)
     bench.add_argument(
         "--estimators", default="gamma,glasso,tlasso,npn",
         help="comma-separated subset of gamma,glasso,tlasso,npn",
     )
     bench.add_argument("--lambda-grid", default="default")
-    bench.add_argument("--normalize", choices=("none", "sd", "mad"), default="none")
-    bench.add_argument("--tol", type=float, default=1e-7)
-    bench.add_argument("--max-iter", type=int, default=200)
-    bench.add_argument("--out", required=True)
-    bench.add_argument("--quiet", action="store_true")
     bench.set_defaults(func=run_bench)
     return parser
 
@@ -445,10 +425,7 @@ def main(argv=None) -> int:
     try:
         _check_flags(args)
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RobustGgmError as exc:

@@ -349,24 +349,30 @@ def geometric_grid(lam1: float, K: int, delta: float) -> np.ndarray:
     return lam1 * delta ** (np.arange(K) / (K - 1))
 
 
+def fit_status(fit_once, *args, **kwargs) -> tuple[FitResult | None, str]:
+    """Run ``fit_once(*args, **kwargs)`` and name the outcome: the fit and
+    "ok", or "max_iter" when it stopped at its step cap; a RobustGgmError
+    gives no fit and "error: ...".  Every point's status is made here."""
+    try:
+        res = fit_once(*args, **kwargs)
+    except RobustGgmError as exc:
+        return None, f"error: {exc}"
+    return res, "ok" if res.converged else "max_iter"
+
+
 def warm_path(lambdas: np.ndarray, first: FitResult, fit_at) -> SolutionPath:
     """The first point is ``first``, the path's diagonal start at lambdas[0]
     with no step taken: the step would return it, so it is converged.  Then
     ``fit_at(lam, last)`` runs down lambdas[1:], ``last`` the latest
-    successful fit; a RobustGgmError at a point makes its status "error: ..."
-    and its fit None, and the path goes on (other statuses: "ok", "max_iter")."""
+    successful fit.  Each point's status is its :func:`fit_status`; a point
+    that fails gets no fit, and the path goes on."""
     last = replace(first, converged=True)
     fits, statuses = [last], ["ok"]
     for lam in lambdas[1:]:
-        try:
-            res = fit_at(float(lam), last)
-        except RobustGgmError as exc:
-            fits.append(None)
-            statuses.append(f"error: {exc}")
-            continue
+        res, status = fit_status(fit_at, float(lam), last)
         fits.append(res)
-        statuses.append("ok" if res.converged else "max_iter")
-        last = res
+        statuses.append(status)
+        last = last if res is None else res
     return SolutionPath(lambdas=lambdas, fits=tuple(fits), statuses=tuple(statuses))
 
 

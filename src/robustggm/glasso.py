@@ -61,6 +61,8 @@ from .errors import (
 )
 from .matcore import inv_spd, require_symmetric, spd_factorize
 
+CG_MAX_ITER = 200  # conjugate-gradient iterations per Newton direction
+
 
 @dataclass(frozen=True)
 class GlassoProblem:
@@ -211,13 +213,14 @@ def _forcing(g, sigma):
     return min(1e-2, float(np.sqrt(g @ g)) / float(np.diag(sigma).max()))
 
 
-def _newton_direction(sigma, iu, ju, w, g, eta, max_iter=200):
+def _newton_direction(sigma, iu, ju, w, g, eta):
     """Approximately solve H d = -g by Jacobi-preconditioned conjugate
     gradients, for the packed Hessian H of -log|X| at X = sigma^{-1}:
     (H v)_k = w_k (Sigma V Sigma)_k with V the symmetric unpacking of v,
     two p x p matrix products per iteration.  Stops once the residual
-    norm falls to ``eta`` times |g|.  V is filled and read through flat
-    indices.  Returns (d, the number of iterations)."""
+    norm falls to ``eta`` times |g|, once the preconditioned residual
+    r.z underflows to 0, or after CG_MAX_ITER iterations.  V is filled
+    and read through flat indices.  Returns (d, the number of iterations)."""
     n = sigma.shape[0]
     up, lo = iu * n + ju, ju * n + iu
     dg = np.diag(sigma)
@@ -230,7 +233,7 @@ def _newton_direction(sigma, iu, ju, w, g, eta, max_iter=200):
     stop = eta * eta * float(g @ g)
     V = np.zeros(sigma.shape)
     flat = V.ravel()  # a view: V is C-contiguous
-    for k in range(1, max_iter + 1):
+    for k in range(1, CG_MAX_ITER + 1):
         flat[up] = v
         flat[lo] = v
         hv = w * (sigma @ V @ sigma).take(up)
@@ -244,6 +247,8 @@ def _newton_direction(sigma, iu, ju, w, g, eta, max_iter=200):
             break
         z = r / h
         rz, rz_old = float(r @ z), rz
+        if rz == 0.0:
+            break
         v = z + (rz / rz_old) * v
     return d, k
 

@@ -1,7 +1,7 @@
 """Dense symmetric-matrix primitives used by every estimator.
 
 Matrices are plain float64 ndarrays kept exactly symmetric by
-construction (`symmetrize`).  Positive definiteness is checked, never
+construction.  Positive definiteness is checked, never
 repaired: a failed factorization raises :class:`NotPositiveDefinite`
 with the pivot where it broke down, because a PD violation downstream
 signals an algorithmic bug, not a numerical nuisance.
@@ -15,12 +15,6 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import DimensionMismatch, NotPositiveDefinite
-
-
-def symmetrize(a: np.ndarray) -> np.ndarray:
-    """Return the exactly symmetric part (a + a.T)/2 as a new array."""
-    a = np.asarray(a, dtype=float)
-    return (a + a.T) / 2.0
 
 
 def require_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:

@@ -120,21 +120,9 @@ def _data_log_density(X: np.ndarray, theta: ModelParams) -> np.ndarray:
     return log_density(X, theta)
 
 
-def _neg_gamma_loglik_logf(logf: np.ndarray, omega: np.ndarray, gamma: float) -> float:
-    """:func:`neg_gamma_loglik` from ``logf = log_density(X, theta)`` and
-    the precision ``theta.omega``, so that a caller holding log f at an
-    iterate does not evaluate it again."""
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
-    if gamma == 0.0:
-        return float(-np.mean(logf))
-    n = logf.shape[0]
-    ell1 = -(logsumexp(gamma * logf) - np.log(n)) / gamma
-    return float(ell1 + ell2_closed_form(omega, gamma))
-
-
 def neg_gamma_loglik(X: np.ndarray, theta: ModelParams, gamma: float) -> float:
-    """Negative gamma-likelihood of the data under ``theta``.
+    """Negative gamma-likelihood of the data under ``theta``: the
+    penalized objective at lam = 0.
 
     For gamma > 0 this is
     ``-(1/gamma) log{ (1/n) sum_i f(x_i)^gamma } + ell2_closed_form``;
@@ -143,14 +131,22 @@ def neg_gamma_loglik(X: np.ndarray, theta: ModelParams, gamma: float) -> float:
     log-likelihood (the removable-singularity limit), not a small-gamma
     evaluation.
     """
-    return _neg_gamma_loglik_logf(_data_log_density(X, theta), theta.omega, gamma)
+    return penalized_gamma_objective(X, theta, RobustConfig(gamma=gamma, lam=0.0))
 
 
 def penalized_gamma_objective_logf(
     logf: np.ndarray, omega: np.ndarray, cfg: RobustConfig
 ) -> float:
-    """:func:`penalized_gamma_objective` from ``logf = log_density(X, theta)``."""
-    return _neg_gamma_loglik_logf(logf, omega, cfg.gamma) + 0.5 * cfg.lam * l1_offdiag(omega)
+    """:func:`penalized_gamma_objective` from ``logf = log_density(X, theta)``
+    and the precision ``theta.omega``, so that a caller holding log f at
+    an iterate does not evaluate it again."""
+    gamma = cfg.gamma
+    if gamma == 0.0:
+        nll = float(-np.mean(logf))
+    else:
+        ell1 = -(logsumexp(gamma * logf) - np.log(logf.shape[0])) / gamma
+        nll = float(ell1 + ell2_closed_form(omega, gamma))
+    return nll + 0.5 * cfg.lam * l1_offdiag(omega)
 
 
 def penalized_gamma_objective(
@@ -195,12 +191,6 @@ def dp_objective(
 
 # --- scores and estimating-equation kernels -------------------------------
 
-def _vech_indices(p: int):
-    """Row/column indices of the (j, k), j <= k entries in row-wise order."""
-    rows, cols = np.triu_indices(p)
-    return rows, cols
-
-
 def score(x: np.ndarray, theta: ModelParams) -> np.ndarray:
     """Gradient of log f(x; theta) in theta = (mu, vech(omega)).
 
@@ -214,7 +204,7 @@ def score(x: np.ndarray, theta: ModelParams) -> np.ndarray:
     sigma = f.inverse()
     d = x - theta.mu
     g_mu = theta.omega @ d
-    rows, cols = _vech_indices(theta.p)
+    rows, cols = np.triu_indices(theta.p)
     tie = np.where(rows == cols, 1.0, 2.0)
     g_om = 0.5 * tie * (sigma[rows, cols] - d[rows] * d[cols])
     return np.concatenate([g_mu, g_om])
@@ -222,7 +212,7 @@ def score(x: np.ndarray, theta: ModelParams) -> np.ndarray:
 
 def _logdet_gradient_vech(sigma: np.ndarray) -> np.ndarray:
     p = sigma.shape[0]
-    rows, cols = _vech_indices(p)
+    rows, cols = np.triu_indices(p)
     tie = np.where(rows == cols, 1.0, 2.0)
     return tie * sigma[rows, cols]
 
@@ -247,7 +237,7 @@ def default_subgradient(omega: np.ndarray) -> np.ndarray:
     off-diagonal vech slots, zero for mu and diagonal slots."""
     omega = np.asarray(omega, dtype=float)
     p = omega.shape[0]
-    rows, cols = _vech_indices(p)
+    rows, cols = np.triu_indices(p)
     u_om = np.where(rows == cols, 0.0, np.sign(omega[rows, cols]))
     return np.concatenate([np.zeros(p), u_om])
 

@@ -46,22 +46,22 @@ def fit_path(estimator, X, *, gamma, nu, delta_n, K, delta, tol, max_iter) -> So
     return gamma_mm.solution_path(X, g, K=K, delta=delta, tol=tol, max_iter=max_iter)
 
 
-def bench_replicate(task: dict) -> dict:
-    """One replicate: simulate, fit every estimator's path on the same
-    data, score every point against the truth.  Pure function of the
-    task dict, whose "spec" is the replicate's :class:`~robustggm.simgen.SimSpec`; an
-    estimator whose whole path fails records its error."""
-    spec = task["spec"]
+def bench_replicate(
+    replicate, spec, *, estimators, gamma, nu, K, delta, tol, max_iter, normalize
+) -> dict:
+    """One replicate: simulate ``spec`` (a :class:`~robustggm.simgen.SimSpec`),
+    fit every estimator's path on the same data, score every point against
+    the truth.  A pure function of its arguments; an estimator whose whole
+    path fails records its error."""
     X, _, truth = simgen.generate(spec)
-    if task["normalize"] != "none":
-        X = metrics.normalize(X, task["normalize"])
-    out = {"replicate": task["replicate"], "seed": spec.seed, "estimators": {}}
-    for est in task["estimators"]:
+    if normalize != "none":
+        X = metrics.normalize(X, normalize)
+    out = {"replicate": replicate, "seed": spec.seed, "estimators": {}}
+    for est in estimators:
         try:
             path = fit_path(
-                est, X, gamma=task["gamma"], nu=task["nu"], delta_n="auto",
-                K=task["K"], delta=task["delta"], tol=task["tol"],
-                max_iter=task["max_iter"],
+                est, X, gamma=gamma, nu=nu, delta_n="auto", K=K, delta=delta,
+                tol=tol, max_iter=max_iter,
             )
         except RobustGgmError as exc:
             out["estimators"][est] = {"error": str(exc), "points": []}
@@ -94,25 +94,14 @@ def step_mean_curves(results: list, estimators: list) -> tuple[list, dict]:
     for est in estimators:
         curves = []
         for rep in results:
-            pts = sorted(
-                (pt["nnz"], pt["tpr"])
-                for pt in rep["estimators"][est]["points"]
-                if "nnz" in pt
-            )
             best = {}
-            for nnz, tpr in pts:
-                best[nnz] = max(best.get(nnz, 0.0), tpr)
+            for pt in rep["estimators"][est]["points"]:
+                if "nnz" in pt:
+                    best[pt["nnz"]] = max(best.get(pt["nnz"], 0.0), pt["tpr"])
             xs = sorted(best)
-            curve = []
-            for g in grid:
-                level = 0.0
-                for x in xs:
-                    if x <= g:
-                        level = best[x]
-                    else:
-                        break
-                curve.append(level)
-            curves.append(curve)
+            # 0 below the curve's first nnz, else the level of its largest nnz <= each grid value
+            levels = np.array([0.0] + [best[x] for x in xs])
+            curves.append(levels[np.searchsorted(xs, grid, side="right")])
         means[est] = (
             np.mean(np.asarray(curves), axis=0).tolist() if curves else []
         )

@@ -441,6 +441,105 @@ def test_bench_deterministic_across_worker_counts(tmp_path, monkeypatch):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_bench_pooled_reports_every_replicate_in_order(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("RGGM_THREADS", "2")
+    code = run(
+        ["bench", "--p", "5", "--n", "60", "--model", "i", "--epsilon", "0.1",
+         "--replicates", "3", "--seed", "11", "--estimators", "gamma",
+         "--lambda-grid", "3,0.3", "--out", str(tmp_path / "b")]
+    )
+    assert code == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[:3] == [f"replicate {k}/3 done" for k in (1, 2, 3)]
+    assert len(err) == 4 and err[3].startswith("wrote ")
+
+
+def test_bench_max_iter_point_exit_2_with_all_artifacts(tmp_path, monkeypatch):
+    # the exit rule of fit: a point stopped at --max-iter is not ok
+    monkeypatch.setenv("RGGM_THREADS", "1")
+    out = tmp_path / "bench"
+    code = run(
+        ["bench", "--p", "6", "--n", "80", "--model", "ii", "--epsilon", "0.1",
+         "--eta", "5", "--gamma", "0.5", "--replicates", "1", "--seed", "4",
+         "--estimators", "gamma", "--lambda-grid", "4,0.2", "--max-iter", "1",
+         "--out", str(out), "--quiet"]
+    )
+    assert code == 2
+    doc = json.loads((out / "bench.json").read_text())
+    statuses = [pt["status"] for pt in doc["replicates"][0]["estimators"]["gamma"]["points"]]
+    assert statuses == ["ok", "max_iter", "max_iter", "max_iter"]
+    assert (out / "roc_mean.tsv").exists() and (out / "mse_summary.tsv").exists()
+
+
+def test_every_subcommand_default_is_pinned():
+    # Parent parsers share their Action objects: a set_defaults on one
+    # subcommand would silently move another's default.
+    parse = cli.build_parser().parse_args
+    solver = {"nu": 1.0, "normalize": "none", "tol": 1e-7, "max_iter": 200}
+    data = {"p": 4, "n": 30, "model": "i", "epsilon": 0.0, "eta": 0.0, "m": 1, "seed": 0}
+    io = {"out": "o", "quiet": False}
+    assert vars(parse(["simulate", *SIM_FLAGS, "--out", "o"])) == {
+        "command": "simulate", "func": cli.run_simulate, **data, **io,
+    }
+    assert vars(parse(["fit", "--estimator", "gamma", "--input", "x.csv", "--lambda", "0.1",
+                       "--out", "o"])) == {
+        "command": "fit", "func": cli.run_fit, "estimator": "gamma", "input": "x.csv",
+        "lam": 0.1, "lambda_grid": None, "gamma": 0.1, "delta_n": "auto", **solver, **io,
+    }
+    assert vars(parse(["evaluate", "--fit", "f.json", "--out", "o"])) == {
+        "command": "evaluate", "func": cli.run_evaluate, "fit": "f.json", "truth": None,
+        "fit_b": None, **io,
+    }
+    assert vars(parse(["bench", *SIM_FLAGS, "--out", "o"])) == {
+        "command": "bench", "func": cli.run_bench, "gamma": 0.05, "replicates": 20,
+        "estimators": "gamma,glasso,tlasso,npn", "lambda_grid": "default",
+        **data, **solver, **io,
+    }
+
+
+def _carry_forward_scan(results, estimators):
+    """study.step_mean_curves by a nested scan over each curve's points:
+    the reference for its carry-forward."""
+    grid = sorted({pt["nnz"] for rep in results for est in estimators
+                   for pt in rep["estimators"][est]["points"] if "nnz" in pt})
+    means = {}
+    for est in estimators:
+        curves = []
+        for rep in results:
+            best = {}
+            for pt in rep["estimators"][est]["points"]:
+                if "nnz" in pt:
+                    best[pt["nnz"]] = max(best.get(pt["nnz"], 0.0), pt["tpr"])
+            curve = []
+            for g in grid:
+                level = 0.0
+                for x in sorted(best):
+                    if x > g:
+                        break
+                    level = best[x]
+                curve.append(level)
+            curves.append(curve)
+        means[est] = np.mean(np.asarray(curves), axis=0).tolist()
+    return grid, means
+
+
+def test_step_mean_curves_matches_the_carry_forward_scan():
+    # repeated nnz within a curve, failed points (no nnz), empty curves
+    rng = np.random.default_rng(25)
+    for _ in range(200):
+        results = []
+        for r in range(int(rng.integers(1, 5))):
+            paths = {}
+            for est in ("a", "b"):
+                points = [{"nnz": 2 * int(rng.integers(0, 6)), "tpr": float(rng.random())}
+                          for _ in range(int(rng.integers(0, 6)))]
+                if rng.random() < 0.2:
+                    points.append({"lambda": 1.0, "status": "error: failed"})
+                paths[est] = {"points": points}
+            results.append({"replicate": r, "estimators": paths})
+        assert study.step_mean_curves(results, ["a", "b"]) == _carry_forward_scan(results, ["a", "b"])
+
+
 def test_csv_roundtrip_17_digits(tmp_path):
     rng = np.random.default_rng(50)
     X = rng.standard_normal((7, 3)) * np.pi

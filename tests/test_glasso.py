@@ -211,9 +211,8 @@ def _random_pattern(rng, p):
 def test_newton_direction_against_dense_hessian(seed, p, g_scale):
     """The CG direction meets the forcing bound |H d + g| <= eta |g|
     against a Hessian formed densely, and with eta = 0 it is the exact
-    Newton direction.  (Run on at eta = 0, CG's recursive residual
-    underflows within 200 iterations, so the exact run is capped at four
-    per unknown.)"""
+    Newton direction.  (At eta = 0, CG runs until its preconditioned
+    residual underflows to 0 and stops there.)"""
     rng = np.random.default_rng(seed)
     sigma = random_spd(rng, p, scale=0.5)
     iu, ju = _random_pattern(rng, p)
@@ -223,10 +222,10 @@ def test_newton_direction_against_dense_hessian(seed, p, g_scale):
     eta = glasso._forcing(g, sigma)
     assert eta == min(1e-2, gnorm / np.diag(sigma).max())
     d, iters = glasso._newton_direction(sigma, iu, ju, w, g, eta)
-    assert 1 <= iters < 200
+    assert 1 <= iters < glasso.CG_MAX_ITER
     assert np.linalg.norm(H @ d + g) <= (eta + 1e-10) * gnorm
     exact = np.linalg.solve(H, -g)
-    d0, _ = glasso._newton_direction(sigma, iu, ju, w, g, 0.0, max_iter=4 * len(g))
+    d0, _ = glasso._newton_direction(sigma, iu, ju, w, g, 0.0)
     assert np.max(np.abs(d0 - exact)) <= 1e-10 * np.max(np.abs(exact))
 
 

@@ -8,7 +8,6 @@ from robustggm import (
     NotPositiveDefinite,
     quad_form,
     spd_factorize,
-    symmetrize,
 )
 from conftest import random_spd
 
@@ -144,9 +143,3 @@ def test_quad_form_batched_rows():
     for i in range(6):
         assert batched[i] == pytest.approx(quad_form(f, V[i]), rel=1e-13)
 
-
-def test_symmetrize_exact():
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal((5, 5))
-    s = symmetrize(a)
-    assert np.array_equal(s, s.T)
