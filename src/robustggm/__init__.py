@@ -7,14 +7,7 @@ scale-free contaminated-data benchmark generator, and support-recovery
 metrics.  See the `rggm` command-line tool for the batch workflow.
 """
 
-from .baselines import (
-    NpnConfig,
-    TlassoConfig,
-    fit_nonparanormal,
-    fit_tlasso,
-    npn_delta,
-    npn_transform,
-)
+from .baselines import fit_nonparanormal, fit_tlasso, npn_delta, npn_transform
 from .errors import (
     DegenerateColumn,
     DegenerateSample,
@@ -29,7 +22,9 @@ from .errors import (
     SupportCollision,
 )
 from .gamma_mm import (
+    Estimator,
     FitResult,
+    GammaRule,
     SolutionPath,
     compute_weights,
     diagonal_start,

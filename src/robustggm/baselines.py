@@ -1,13 +1,14 @@
 """Comparison estimators: the penalized multivariate-t EM (tlasso) and
 the nonparanormal (npn) rank transform.
 
-Neither has a loop of its own.  A tlasso EM step is an MM step with
-kappa = 1 (gamma = 0) and the t weights, so :func:`fit_tlasso` runs
-:class:`TRule` through :func:`robustggm.gamma_mm.mm_loop`, and
-:func:`tlasso_path` shares gamma's grid, warm-started path loop and
-diagonal fixed point.  npn is the graphical lasso (gamma = 0) on the
-data :func:`npn_transform` returns: :func:`fit_nonparanormal` is
-:func:`robustggm.gamma_mm.fit` on that data, and its path is gamma = 0's.
+Neither has a loop or a path of its own.  A tlasso EM step is an MM step
+with kappa = 1 (gamma = 0) and the t weights, so :func:`fit_tlasso` runs
+:class:`TRule` through :func:`robustggm.gamma_mm.fit`, from the diagonal
+fixed point :func:`tlasso_diagonal_start`.  npn is the graphical lasso
+(gamma = 0) on the data :func:`npn_transform` returns.
+:func:`robustggm.study.estimator` makes each an
+:class:`~robustggm.gamma_mm.Estimator`, whose path is
+:func:`robustggm.gamma_mm.solution_path`.
 """
 
 from __future__ import annotations
@@ -21,46 +22,11 @@ from scipy.stats import rankdata
 
 from . import gamma_mm
 from .errors import DegenerateColumn, EmptyDataset
-from .gamma_mm import FitResult, SolutionPath, diagonal_fixed_point, geometric_grid, mm_loop, warm_path
+from .gamma_mm import FitResult, diagonal_fixed_point
 from .matcore import quad_form, spd_factorize
 from .objective import ModelParams, RobustConfig, l1_offdiag
 
 TLASSO_TOL = 1e-6  # EM stops once no entry of (mu, omega) moves by this much
-
-
-@dataclass(frozen=True)
-class TlassoConfig:
-    """Degrees of freedom, penalty weight, and EM step budget for the
-    penalized multivariate-t EM."""
-
-    nu: float
-    lam: float
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if self.nu <= 0:
-            raise ValueError("nu must be > 0")
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
-
-
-@dataclass(frozen=True)
-class NpnConfig:
-    """Truncation level for the empirical CDF ("auto" uses the
-    rate-matched default) and the penalty weight of the downstream
-    graphical lasso."""
-
-    delta_n: float | str = "auto"
-    lam: float = 0.0
-
-    def __post_init__(self):
-        if isinstance(self.delta_n, str):
-            if self.delta_n != "auto":
-                raise ValueError("delta_n must be a float or 'auto'")
-        elif not 0.0 < self.delta_n < 0.5:
-            raise ValueError("explicit delta_n must lie in (0, 0.5)")
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
 
 
 def _t_weights(q: np.ndarray, p: int, nu: float) -> np.ndarray:
@@ -71,7 +37,7 @@ def _t_weights(q: np.ndarray, p: int, nu: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TRule:
-    """tlasso's weight rule for :func:`~robustggm.gamma_mm.mm_loop`: score
+    """tlasso's weight rule for :func:`robustggm.gamma_mm.fit`: score
     (q, log|omega|), q_i = (x_i - mu)' omega (x_i - mu), from one
     factorization; the normalized t weights of q; gamma = 0 in ``cfg``, so
     kappa = 1.  It stops once no entry of (mu, omega) moves by
@@ -107,14 +73,16 @@ class TRule:
 
 
 def fit_tlasso(
-    X: np.ndarray, cfg: TlassoConfig, init: ModelParams | None = None, init_score=None
+    X: np.ndarray, lam: float, init: ModelParams | None = None, max_iter: int = 200,
+    init_score=None, *, nu: float,
 ) -> FitResult:
-    """Penalized multivariate-t estimate by EM, :func:`~robustggm.gamma_mm.mm_loop`
-    under :class:`TRule`: each M-step is the graphical lasso on the scatter
-    of the normalized weights.  ``init_score`` is the score of ``init``."""
+    """Penalized multivariate-t estimate at ``lam`` by EM,
+    :func:`robustggm.gamma_mm.fit` under :class:`TRule`: each M-step is the
+    graphical lasso on the scatter of the normalized weights.
+    ``init_score`` is the score of ``init``."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    rule = TRule(RobustConfig(gamma=0.0, lam=cfg.lam), cfg.nu, X.shape[1])
-    return mm_loop(X, rule, init, cfg.max_iter, init_score=init_score)
+    rule = TRule(RobustConfig(gamma=0.0, lam=lam), nu, X.shape[1])
+    return gamma_mm.fit(X, rule, init, max_iter, init_score=init_score)
 
 
 def tlasso_diagonal_start(X: np.ndarray, nu: float) -> tuple[ModelParams, np.ndarray, float]:
@@ -125,24 +93,6 @@ def tlasso_diagonal_start(X: np.ndarray, nu: float) -> tuple[ModelParams, np.nda
     return diagonal_fixed_point(X, lambda q, sig: _t_weights(q, sig.shape[0], nu), 1.0)
 
 
-def tlasso_path(
-    X: np.ndarray, nu: float, K: int = 10, delta: float = 0.2, max_iter: int = 200
-) -> SolutionPath:
-    """Warm-started tlasso fits on the geometric grid below tlasso's own
-    lam1.  The first point is its diagonal EM fixed point, with no EM
-    step (see :func:`~robustggm.gamma_mm.warm_path`); each later point
-    starts from its predecessor's estimate and score."""
-    theta0, _, lam1 = tlasso_diagonal_start(X, nu)
-    return warm_path(
-        geometric_grid(lam1, K, delta),
-        fit_tlasso(X, TlassoConfig(nu=nu, lam=lam1, max_iter=0), init=theta0),
-        lambda lam, last: fit_tlasso(
-            X, TlassoConfig(nu=nu, lam=lam, max_iter=max_iter), init=last.theta,
-            init_score=last.logf,
-        ),
-    )
-
-
 def npn_delta(n: int) -> float:
     """Truncation level 1 / (4 n^{1/4} sqrt(pi log n)) matched to the
     high-dimensional convergence rate of the transform estimator."""
@@ -151,22 +101,22 @@ def npn_delta(n: int) -> float:
     return 1.0 / (4.0 * n**0.25 * math.sqrt(math.pi * math.log(n)))
 
 
-def npn_transform(X: np.ndarray, cfg: NpnConfig) -> np.ndarray:
+def npn_transform(X: np.ndarray, delta_n: float | str = "auto") -> np.ndarray:
     """Columnwise Gaussianizing transform.
 
     Each column is mapped through
     ``mean_j + sd_j * Phi^{-1}(F~_j(x))`` where F~_j is the empirical
-    CDF (ties averaged, rank / (n + 1)) truncated to
-    [delta_n, 1 - delta_n]; mean and (biased) standard deviation are the
-    column sample moments.  Monotone in each column, so within-column
-    rank order is preserved.  A constant column, or one whose variance
+    CDF (ties averaged, rank / (n + 1)) truncated to [delta_n, 1 - delta_n]
+    (:func:`npn_delta` for "auto"); mean and (biased) standard deviation
+    are the column sample moments.  Monotone in each column, so
+    within-column rank order is preserved.  A constant column, or one whose variance
     overflows float64, raises DegenerateColumn naming it.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, p = X.shape
     if n < 2:
         raise EmptyDataset("need at least two observations")
-    delta = npn_delta(n) if cfg.delta_n == "auto" else float(cfg.delta_n)
+    delta = npn_delta(n) if delta_n == "auto" else float(delta_n)
     out = np.empty_like(X)
     for j in range(p):
         col = X[:, j]
@@ -182,7 +132,8 @@ def npn_transform(X: np.ndarray, cfg: NpnConfig) -> np.ndarray:
     return out
 
 
-def fit_nonparanormal(X: np.ndarray, cfg: NpnConfig) -> FitResult:
-    """The graphical lasso (gamma = 0) at ``cfg.lam`` on the transformed
+def fit_nonparanormal(X: np.ndarray, lam: float, delta_n: float | str = "auto") -> FitResult:
+    """The graphical lasso (gamma = 0) at ``lam`` on the transformed
     data; its weights are uniform."""
-    return gamma_mm.fit(npn_transform(X, cfg), RobustConfig(gamma=0.0, lam=cfg.lam))
+    rule = gamma_mm.GammaRule(RobustConfig(gamma=0.0, lam=lam))
+    return gamma_mm.fit(npn_transform(X, delta_n), rule)

@@ -25,10 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines, fileio, metrics, simgen, study
+from . import fileio, metrics, simgen, study
 from .errors import InputError, RobustGgmError
-from .gamma_mm import FitResult, fit_status
-from .objective import RobustConfig
+from .gamma_mm import FitResult, fit_status, solution_path
 
 
 def _progress(args, msg: str) -> None:
@@ -63,22 +62,35 @@ def _sim_spec(args, seed: int) -> simgen.SimSpec:
     )
 
 
+def _estimator_names(args) -> list:
+    if args.command == "fit":
+        return [args.estimator]
+    return [e.strip() for e in args.estimators.split(",") if e.strip()]
+
+
+def _estimator(args, name: str):
+    return study.estimator(
+        name, gamma=args.gamma, nu=args.nu, tol=args.tol,
+        delta_n=_parse_delta_n(getattr(args, "delta_n", "auto")),
+    )
+
+
 def _check_flags(args) -> None:
-    """Build every config the command's flags describe before any work,
-    so that an out-of-range value exits 1 with the config's own message
-    and nothing is written."""
+    """Build every estimator and spec the command's flags describe before
+    any work, so that an out-of-range value exits 1 with the message of
+    the check that refused it, and nothing is written."""
     if args.command == "evaluate" and not (args.truth or args.fit_b):
         raise InputError("provide --truth and/or --fit-b")
     try:
         if args.command in ("simulate", "bench"):
             _sim_spec(args, args.seed)
         if args.command in ("fit", "bench"):
-            lam = getattr(args, "lam", None) or 0.0
-            RobustConfig(gamma=args.gamma, lam=lam)
-            baselines.TlassoConfig(nu=args.nu, lam=lam)
-            baselines.NpnConfig(delta_n=_parse_delta_n(getattr(args, "delta_n", "auto")))
-            if not args.tol > 0 or args.max_iter < 1:
-                raise ValueError("need --tol > 0 and --max-iter >= 1")
+            for name in _estimator_names(args):
+                _estimator(args, name)
+            if (getattr(args, "lam", None) or 0.0) < 0:
+                raise ValueError("lam must be >= 0")
+            if args.max_iter < 1:
+                raise ValueError("need --max-iter >= 1")
     except ValueError as exc:
         raise InputError(str(exc)) from None
 
@@ -174,18 +186,15 @@ def run_fit(args) -> int:
         "normalize": args.normalize, "gamma": args.gamma, "nu": args.nu,
         "delta_n": args.delta_n, "tol": args.tol, "max_iter": args.max_iter,
     }
-    kw = dict(
-        gamma=args.gamma, nu=args.nu, delta_n=_parse_delta_n(args.delta_n),
-        tol=args.tol, max_iter=args.max_iter,
-    )
+    est = _estimator(args, args.estimator)
     if grid:
         config["lambda_grid"] = {"K": K, "delta": delta}
-        path = study.fit_path(args.estimator, X, K=K, delta=delta, **kw)
+        path = solution_path(X, est, K, delta, args.max_iter)
         lambdas, fits, statuses = path.lambdas, path.fits, path.statuses
         config["lambdas"] = [float(v) for v in lambdas]
     else:
         config["lambda"] = args.lam
-        res, status = fit_status(study.fit_single, args.estimator, X, lam=args.lam, **kw)
+        res, status = fit_status(lambda: est.fit(est.data(X), args.lam, max_iter=args.max_iter))
         lambdas, fits, statuses = [args.lam], [res], [status]
     _write_fit_artifacts(outdir, config, lambdas, fits, statuses, grid)
     _progress(args, f"wrote {outdir / 'fit.json'}")
@@ -281,10 +290,7 @@ def _bench_workers() -> int:
 
 def run_bench(args) -> int:
     workers = _bench_workers()
-    estimators = [e.strip() for e in args.estimators.split(",") if e.strip()]
-    for est in estimators:
-        if est not in study.ESTIMATORS:
-            raise InputError(f"unknown estimator {est!r}")
+    estimators = _estimator_names(args)
     if args.replicates < 1:
         raise InputError("need at least one replicate")
     K, delta = _parse_grid(args.lambda_grid)
@@ -372,10 +378,17 @@ def build_parser() -> argparse.ArgumentParser:
     data.add_argument("--seed", type=int, default=0)
 
     solver = argparse.ArgumentParser(add_help=False)
-    solver.add_argument("--nu", type=float, default=1.0)
+    solver.add_argument("--nu", type=float, default=1.0, help="tlasso's degrees of freedom (> 0)")
     solver.add_argument("--normalize", choices=("none", "sd", "mad"), default="none")
-    solver.add_argument("--tol", type=float, default=1e-7)
-    solver.add_argument("--max-iter", type=int, default=200)
+    solver.add_argument(
+        "--tol", type=float, default=1e-7,
+        help="relative objective change (> 0) that stops gamma's MM loop; read by gamma "
+        "only (tlasso stops at TLASSO_TOL, glasso and npn after one step)",
+    )
+    solver.add_argument(
+        "--max-iter", type=int, default=200,
+        help="MM/EM step cap per point (>= 1) for gamma and tlasso; glasso and npn take one step",
+    )
 
     parser = argparse.ArgumentParser(
         prog="rggm",
@@ -386,14 +399,15 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", parents=[data, io], help="generate a benchmark dataset")
     sim.set_defaults(func=run_simulate)
 
+    gamma_help = "gamma's robustness (>= 0): rows weighted by f^gamma; read by gamma only"
     fit = sub.add_parser("fit", parents=[solver, io], help="fit one estimator to a CSV dataset")
     fit.add_argument("--estimator", choices=study.ESTIMATORS, required=True)
     fit.add_argument("--input", required=True)
-    fit.add_argument("--gamma", type=float, default=0.1)
+    fit.add_argument("--gamma", type=float, default=0.1, help=gamma_help)
     lam = fit.add_mutually_exclusive_group(required=True)
     lam.add_argument("--lambda", dest="lam", type=float)
     lam.add_argument("--lambda-grid", help="'default' or 'K,DELTA'")
-    fit.add_argument("--delta-n", default="auto")
+    fit.add_argument("--delta-n", default="auto", help="npn's CDF truncation: 'auto' or in (0, 0.5)")
     fit.set_defaults(func=run_fit)
 
     ev = sub.add_parser("evaluate", parents=[io], help="score fit artifacts against a truth")
@@ -405,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench", parents=[data, solver, io], help="replicated simulate/fit/evaluate"
     )
-    bench.add_argument("--gamma", type=float, default=0.05)
+    bench.add_argument("--gamma", type=float, default=0.05, help=gamma_help)
     bench.add_argument("--replicates", type=int, default=20)
     bench.add_argument(
         "--estimators", default="gamma,glasso,tlasso,npn",

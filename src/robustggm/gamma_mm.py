@@ -8,12 +8,13 @@ minimizing it reduces to a weighted mean update followed by a rescaled
 graphical lasso.  The surrogate touches the objective at the current
 iterate, so the penalized objective is non-increasing along the run.
 
-:func:`mm_loop` is every estimator's loop; :class:`GammaRule` is gamma's
-weight rule, and tlasso's EM runs the t rule of :mod:`robustggm.baselines`.
-
-The off-diagonal support empties exactly at the penalty level lam1 of
-:func:`diagonal_start`; the regularization path is fit on a geometric
-grid downward from there with warm starts.
+:func:`fit` is every estimator's loop: :class:`GammaRule` is gamma's
+weight rule (glasso and npn's at gamma = 0), and tlasso's EM runs the t
+rule of :mod:`robustggm.baselines`.  An :class:`Estimator` is a diagonal
+start, a fit at one penalty and an optional data transform, and
+:func:`solution_path` is every estimator's path: its off-diagonal
+support empties exactly at the penalty level lam1 of the start, and the
+path is fit on a geometric grid downward from there with warm starts.
 
 One fit is single-threaded (warm-start chains are sequential), but all
 functions here are pure given their inputs, so independent fits across
@@ -23,6 +24,7 @@ data shared read-only.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,7 +47,7 @@ DIAGONAL_MAX_PASSES = 2000
 
 @dataclass(frozen=True)
 class FitResult:
-    """One converged (or iteration-capped) estimate of :func:`mm_loop`.
+    """One converged (or iteration-capped) estimate of :func:`fit`.
 
     ``weights`` (nonnegative, summing to one) and ``logf`` are the weight
     rule's weights and score at the returned parameters: log f(x_i) for
@@ -74,6 +76,26 @@ class SolutionPath:
     lambdas: np.ndarray
     fits: tuple
     statuses: tuple
+
+
+@dataclass(frozen=True)
+class Estimator:
+    """One estimator, as :func:`solution_path` runs it.
+
+    ``start(X)`` is its diagonal start (theta, S_w, lam1), a
+    :func:`diagonal_fixed_point`; ``fit(X, lam, init=None, max_iter=200,
+    init_score=None)`` its fit at one penalty, :func:`fit` under its
+    weight rule; ``transform``, when set, maps the data both are given
+    (npn's rank transform).  :func:`robustggm.study.estimator` builds them.
+    """
+
+    start: Callable
+    fit: Callable
+    transform: Callable | None = None
+
+    def data(self, X: np.ndarray) -> np.ndarray:
+        """X as the estimator is fit to it: through ``transform``, when set."""
+        return X if self.transform is None else self.transform(X)
 
 
 def compute_weights(X: np.ndarray, theta: ModelParams, gamma: float) -> np.ndarray:
@@ -164,7 +186,7 @@ def mm_step(
     """One majorize-minimize step from ``theta_t``.
 
     ``weights`` are the weight rule's weights at theta_t (for gamma,
-    :func:`compute_weights`; :func:`mm_loop` passes them from the score it
+    :func:`compute_weights`; :func:`fit` passes them from the score it
     already holds); the location update is their weighted mean; the
     precision update solves the graphical lasso on the weighted scatter
     with log-determinant coefficient k = 1/(1+gamma), warm-started at the
@@ -172,7 +194,7 @@ def mm_step(
     Dividing that objective by k gives the standard problem with S_w / k
     and lam / k, which is the one solved.
     ``centered``, when given, is an array shaped like X that receives the
-    rows the scatter is formed from, X - mu_{t+1}: :func:`mm_loop` scores
+    rows the scatter is formed from, X - mu_{t+1}: :func:`fit` scores
     the new iterate on them.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -187,7 +209,7 @@ def mm_step(
 
 @dataclass(frozen=True)
 class GammaRule:
-    """gamma's weight rule for :func:`mm_loop`: score log f(x_i), weights
+    """gamma's weight rule for :func:`fit`: score log f(x_i), weights
     f^gamma, the penalized negative gamma-likelihood as objective; it stops
     once that changes by at most ``tol`` relatively, and at gamma = 0 after
     one step."""
@@ -210,7 +232,7 @@ class GammaRule:
         return self.cfg.gamma == 0.0 or abs(new_obj - obj) <= self.tol * max(1.0, abs(obj))
 
 
-def mm_loop(
+def fit(
     X: np.ndarray,
     rule,
     init: ModelParams | None = None,
@@ -218,8 +240,8 @@ def mm_loop(
     keep_iterates: bool = False,
     init_score=None,
 ) -> FitResult:
-    """Iterate :func:`mm_step` under a weight rule from ``init`` (default
-    :func:`robust_init`).
+    """Every estimator's loop: iterate :func:`mm_step` under a weight rule
+    from ``init`` (default :func:`robust_init`).
 
     The rule supplies ``score(X, theta, centered)`` of an iterate, from
     its rows centered at its mu and independent of lam; ``weights(score)``;
@@ -266,20 +288,6 @@ def mm_loop(
         iterates=tuple(iterates) if keep_iterates else None,
         logf=score,
     )
-
-
-def fit(
-    X: np.ndarray,
-    cfg: RobustConfig,
-    init: ModelParams | None = None,
-    tol: float = 1e-7,
-    max_iter: int = 200,
-    keep_iterates: bool = False,
-    init_logf: np.ndarray | None = None,
-) -> FitResult:
-    """Minimize the penalized negative gamma-likelihood by :func:`mm_loop`
-    under :class:`GammaRule`; ``init_logf`` is the score of ``init``."""
-    return mm_loop(X, GammaRule(cfg, tol), init, max_iter, keep_iterates, init_logf)
 
 
 def offdiag_absmax(s: np.ndarray) -> float:
@@ -360,45 +368,27 @@ def fit_status(fit_once, *args, **kwargs) -> tuple[FitResult | None, str]:
     return res, "ok" if res.converged else "max_iter"
 
 
-def warm_path(lambdas: np.ndarray, first: FitResult, fit_at) -> SolutionPath:
-    """The first point is ``first``, the path's diagonal start at lambdas[0]
-    with no step taken: the step would return it, so it is converged.  Then
-    ``fit_at(lam, last)`` runs down lambdas[1:], ``last`` the latest
-    successful fit.  Each point's status is its :func:`fit_status`; a point
-    that fails gets no fit, and the path goes on."""
-    last = replace(first, converged=True)
+def solution_path(
+    X: np.ndarray, est: Estimator, K: int = 10, delta: float = 0.2, max_iter: int = 200
+) -> SolutionPath:
+    """Fit ``est`` warm-started down lam_k = lam1 * delta^((k-1)/(K-1)),
+    on ``est.data(X)``.
+
+    lam1 and the first point come from ``est.start``, the estimator's
+    :func:`diagonal_fixed_point`: the first point is that start at lam1
+    with no step taken; the step would return it, so it is converged.
+    Each later point starts from the latest successful fit's estimate and
+    the score it ended with there.  Each point's status is its
+    :func:`fit_status`; a point that fails gets no fit, and the path goes on.
+    """
+    X = est.data(np.atleast_2d(np.asarray(X, dtype=float)))
+    theta0, _, lam1 = est.start(X)
+    lambdas = geometric_grid(lam1, K, delta)
+    last = replace(est.fit(X, lam1, theta0, 0), converged=True)
     fits, statuses = [last], ["ok"]
     for lam in lambdas[1:]:
-        res, status = fit_status(fit_at, float(lam), last)
+        res, status = fit_status(est.fit, X, float(lam), last.theta, max_iter, last.logf)
         fits.append(res)
         statuses.append(status)
         last = last if res is None else res
     return SolutionPath(lambdas=lambdas, fits=tuple(fits), statuses=tuple(statuses))
-
-
-def solution_path(
-    X: np.ndarray,
-    gamma: float,
-    K: int = 10,
-    delta: float = 0.2,
-    tol: float = 1e-7,
-    max_iter: int = 200,
-) -> SolutionPath:
-    """Fit a warm-started path over lam_k = lam1 * delta^((k-1)/(K-1)).
-
-    lam1 and the first point, with no MM step, come from
-    :func:`diagonal_start`, the diagonal fixed point run from the median
-    and adjusted MAD; each later point starts from its predecessor's
-    estimate, and from the log-density its predecessor ended with there.
-    Estimation errors are recorded per point (see :func:`warm_path`).
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    theta0, _, lam1 = diagonal_start(X, gamma)
-    return warm_path(
-        geometric_grid(lam1, K, delta),
-        fit(X, RobustConfig(gamma=gamma, lam=lam1), init=theta0, max_iter=0),
-        lambda lam, last: fit(
-            X, RobustConfig(gamma=gamma, lam=lam), init=last.theta, tol=tol,
-            max_iter=max_iter, init_logf=last.logf,
-        ),
-    )

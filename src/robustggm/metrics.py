@@ -34,16 +34,14 @@ class EdgeSet:
         return len(self.edges)
 
 
-def edge_set(omega: np.ndarray, zero_tol: float = 1e-8) -> EdgeSet:
-    """Off-diagonal support of a symmetric matrix.
-
-    ``zero_tol`` only guards float dust: ``glasso.solve`` returns exact
-    zeros off its pattern, so any |entry| above it is a real edge.
-    """
+def edge_set(omega: np.ndarray) -> EdgeSet:
+    """Off-diagonal support of a symmetric matrix: its exact nonzeros.
+    ``glasso.solve`` returns exact zeros off its pattern, so every nonzero
+    is an edge, in any units."""
     omega = require_symmetric(np.asarray(omega, dtype=float), "omega")
     p = omega.shape[0]
     rows, cols = np.triu_indices(p, k=1)
-    keep = np.abs(omega[rows, cols]) > zero_tol
+    keep = omega[rows, cols] != 0.0
     return EdgeSet(
         p=p, edges=frozenset(zip((rows[keep] + 1).tolist(), (cols[keep] + 1).tolist()))
     )

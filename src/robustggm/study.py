@@ -1,12 +1,13 @@
 """The simulation study: fit every estimator on the same data and score
 each point of its regularization path against the truth.
 
-:data:`ESTIMATORS` names the four estimators, and :func:`fit_single` /
-:func:`fit_path` dispatch on those names: gamma to :mod:`robustggm.gamma_mm`,
-glasso to its gamma = 0 case, npn to that case on the data
-:func:`robustggm.baselines.npn_transform` returns, and tlasso to
-:mod:`robustggm.baselines`.  :func:`bench_replicate` is one replicate of the study
-(simulate, fit every path, score every point with
+:data:`ESTIMATORS` names the four estimators, and :func:`estimator`
+builds each as a :class:`robustggm.gamma_mm.Estimator` (the only place
+that dispatches on a name): gamma, glasso as its gamma = 0 case, npn as
+that case on the data :func:`robustggm.baselines.npn_transform` returns,
+and tlasso from :mod:`robustggm.baselines`.  :func:`bench_replicate` is
+one replicate of the study (simulate, fit every estimator's
+:func:`robustggm.gamma_mm.solution_path`, score every point with
 :func:`robustggm.metrics.score_point`); :func:`step_mean_curves` and
 :func:`min_mse_table` aggregate replicates into the mean ROC curves and
 the per-replicate minimum MSE.
@@ -14,36 +15,53 @@ the per-replicate minimum MSE.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from . import baselines, gamma_mm, metrics, simgen
 from .errors import RobustGgmError
-from .gamma_mm import FitResult, SolutionPath
 from .objective import RobustConfig
 
 ESTIMATORS = ("gamma", "glasso", "tlasso", "npn")
 
 
-def fit_single(estimator, X, *, gamma, lam, nu, delta_n, tol, max_iter) -> FitResult:
-    """One fit at penalty ``lam``; ``estimator`` is one of :data:`ESTIMATORS`."""
-    if estimator == "tlasso":
-        return baselines.fit_tlasso(X, baselines.TlassoConfig(nu=nu, lam=lam, max_iter=max_iter))
-    if estimator == "npn":
-        return baselines.fit_nonparanormal(X, baselines.NpnConfig(delta_n=delta_n, lam=lam))
-    g = gamma if estimator == "gamma" else 0.0
-    return gamma_mm.fit(X, RobustConfig(gamma=g, lam=lam), tol=tol, max_iter=max_iter)
+def estimator(name, *, gamma=0.1, nu=1.0, delta_n="auto", tol=1e-7) -> gamma_mm.Estimator:
+    """The estimator ``name`` of :data:`ESTIMATORS`.  Every value is checked
+    here, whichever estimator reads it:
 
+    - gamma reads ``gamma`` (>= 0; rows weighted by f^gamma) and ``tol``
+      (> 0; its MM loop stops on that relative objective change);
+    - glasso is gamma = 0, whose loop stops after one step;
+    - tlasso reads ``nu`` (> 0); its EM stops once no entry of (mu, omega)
+      moves by :data:`~robustggm.baselines.TLASSO_TOL`;
+    - npn is glasso on the rank transform truncated at ``delta_n``
+      ("auto" or in (0, 0.5)).
 
-def fit_path(estimator, X, *, gamma, nu, delta_n, K, delta, tol, max_iter) -> SolutionPath:
-    """Warm-started decreasing-penalty path for any estimator, on the
-    geometric grid below the estimator's own lam1 (each path function
-    documents its anchor); npn's is the glasso path of the transformed data."""
-    if estimator == "tlasso":
-        return baselines.tlasso_path(X, nu, K=K, delta=delta, max_iter=max_iter)
-    if estimator == "npn":
-        X = baselines.npn_transform(X, baselines.NpnConfig(delta_n=delta_n))
-    g = gamma if estimator == "gamma" else 0.0
-    return gamma_mm.solution_path(X, g, K=K, delta=delta, tol=tol, max_iter=max_iter)
+    The ``max_iter`` a fit is given caps gamma's and tlasso's steps.
+    """
+    if name not in ESTIMATORS:
+        raise ValueError(f"unknown estimator {name!r}")
+    if not gamma >= 0:
+        raise ValueError("gamma must be >= 0")
+    if not nu > 0:
+        raise ValueError("nu must be > 0")
+    if delta_n != "auto" and (isinstance(delta_n, str) or not 0.0 < delta_n < 0.5):
+        raise ValueError("delta_n must be 'auto' or lie in (0, 0.5)")
+    if not tol > 0:
+        raise ValueError("tol must be > 0")
+    if name == "tlasso":
+        return gamma_mm.Estimator(
+            partial(baselines.tlasso_diagonal_start, nu=nu), partial(baselines.fit_tlasso, nu=nu)
+        )
+    g = gamma if name == "gamma" else 0.0
+
+    def fit(X, lam, init=None, max_iter=200, init_score=None):
+        rule = gamma_mm.GammaRule(RobustConfig(gamma=g, lam=lam), tol)
+        return gamma_mm.fit(X, rule, init, max_iter, init_score=init_score)
+
+    transform = partial(baselines.npn_transform, delta_n=delta_n) if name == "npn" else None
+    return gamma_mm.Estimator(partial(gamma_mm.diagonal_start, gamma=g), fit, transform)
 
 
 def bench_replicate(
@@ -57,14 +75,12 @@ def bench_replicate(
     if normalize != "none":
         X = metrics.normalize(X, normalize)
     out = {"replicate": replicate, "seed": spec.seed, "estimators": {}}
-    for est in estimators:
+    for name in estimators:
+        est = estimator(name, gamma=gamma, nu=nu, tol=tol)
         try:
-            path = fit_path(
-                est, X, gamma=gamma, nu=nu, delta_n="auto", K=K, delta=delta,
-                tol=tol, max_iter=max_iter,
-            )
+            path = gamma_mm.solution_path(X, est, K, delta, max_iter)
         except RobustGgmError as exc:
-            out["estimators"][est] = {"error": str(exc), "points": []}
+            out["estimators"][name] = {"error": str(exc), "points": []}
             continue
         points = []
         for lam, res, status in zip(path.lambdas, path.fits, path.statuses):
@@ -73,7 +89,7 @@ def bench_replicate(
                 omega = res.theta.omega
                 point.update(metrics.score_point(metrics.edge_set(omega), omega, truth.adjacency, truth.omega))
             points.append(point)
-        out["estimators"][est] = {"points": points}
+        out["estimators"][name] = {"points": points}
     return out
 
 

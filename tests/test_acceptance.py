@@ -16,6 +16,7 @@ from scipy import integrate
 
 import robustggm.glasso as glasso_mod
 from robustggm import (
+    GammaRule,
     GlassoProblem,
     KernelInput,
     ModelParams,
@@ -33,6 +34,7 @@ from robustggm import (
     spd_factorize,
     total_agreement,
 )
+from robustggm import study
 from robustggm.cli import main as cli_main
 from robustggm.metrics import EdgeSet
 from conftest import mixture_24, random_spd, random_theta
@@ -111,7 +113,7 @@ def test_criterion_02_monotone_descent():
         lam_hi = float(np.abs(np.cov(base.T, bias=True)).max())
         for gamma, lam in [(0.05, 0.3 * lam_hi), (0.1, 0.1 * lam_hi),
                            (0.5, 0.3 * lam_hi), (0.1, 0.02 * lam_hi)]:
-            res = fit(base, RobustConfig(gamma=gamma, lam=lam), keep_iterates=True)
+            res = fit(base, GammaRule(RobustConfig(gamma=gamma, lam=lam)), keep_iterates=True)
             n_fits += 1
             tr = res.objective_trace
             for a, b in zip(tr, tr[1:]):
@@ -142,7 +144,7 @@ def test_criterion_03_gamma_zero_reduction():
         lam_hi = float(np.abs(s[off]).max())
         for frac in (0.5, 0.2, 0.05):
             lam = frac * lam_hi
-            res = fit(X, RobustConfig(gamma=0.0, lam=lam))
+            res = fit(X, GammaRule(RobustConfig(gamma=0.0, lam=lam)))
             direct = glasso_mod.solve(GlassoProblem(s=s, lam=lam))
             worst = max(worst, float(np.max(np.abs(res.theta.omega - direct.omega))))
     assert worst < 1e-5
@@ -191,9 +193,9 @@ def test_criterion_05_penalty_boundary():
     for seed in range(20):
         X, _, _ = mixture_24(seed=5000 + seed)
         theta0, _, lam1 = diagonal_start(X, 0.1)
-        hi = fit(X, RobustConfig(gamma=0.1, lam=lam1), init=theta0)
+        hi = fit(X, GammaRule(RobustConfig(gamma=0.1, lam=lam1)), init=theta0)
         assert len(edge_set(hi.theta.omega)) == 0
-        lo = fit(X, RobustConfig(gamma=0.1, lam=0.9 * lam1), init=theta0)
+        lo = fit(X, GammaRule(RobustConfig(gamma=0.1, lam=0.9 * lam1)), init=theta0)
         assert len(edge_set(lo.theta.omega)) >= 1
     _report(5, "penalty boundary", "20 datasets: diagonal at lam1, nonempty "
             "at 0.9 lam1")
@@ -272,7 +274,7 @@ def test_criterion_08_truncation_level():
 # -- 9 ------------------------------------------------------------------------
 
 def _best_f1_and_exact(X, gamma, truth):
-    path = solution_path(X, gamma)
+    path = solution_path(X, study.estimator("gamma", gamma=gamma))
     best, exact = 0.0, False
     for f in path.fits:
         if f is None:

@@ -7,9 +7,7 @@ from robustggm import (
     DegenerateColumn,
     GlassoProblem,
     ModelParams,
-    NpnConfig,
     RobustConfig,
-    TlassoConfig,
     fit_nonparanormal,
     fit_tlasso,
     npn_delta,
@@ -17,7 +15,7 @@ from robustggm import (
     solve,
     weighted_scatter,
 )
-from robustggm import baselines, quad_form, spd_factorize, study
+from robustggm import baselines, quad_form, solution_path, spd_factorize, study
 from conftest import mixture_24, random_spd
 
 
@@ -52,7 +50,7 @@ def test_tlasso_large_nu_limits_to_glasso():
     rng = np.random.default_rng(31)
     X = rng.standard_normal((150, 4)) @ random_spd(rng, 4, scale=0.3)
     lam = 0.1
-    res = fit_tlasso(X, TlassoConfig(nu=1e6, lam=lam))
+    res = fit_tlasso(X, lam, nu=1e6)
     assert np.max(np.abs(res.weights - 1 / 150)) < 1e-4
     d = X - X.mean(axis=0)
     s = d.T @ d / 150
@@ -75,7 +73,7 @@ def test_tlasso_outlier_contribution_tends_to_constant():
 
 def test_tlasso_iterates_finite_and_pd():
     X, _, _ = mixture_24(seed=32)
-    res = fit_tlasso(X, TlassoConfig(nu=1.0, lam=0.1))
+    res = fit_tlasso(X, 0.1, nu=1.0)
     assert res.converged
     assert np.all(np.isfinite(res.theta.omega))
     assert np.all(np.linalg.eigvalsh(res.theta.omega) > 0)
@@ -119,7 +117,7 @@ def test_npn_transform_near_identity_on_normal_data():
     for seed in range(20):
         rng = np.random.default_rng(500 + seed)
         x = rng.standard_normal((2000, 1))
-        z = npn_transform(x, NpnConfig())
+        z = npn_transform(x)
         delta = npn_delta(2000)
         cdf = (np.argsort(np.argsort(x[:, 0])) + 1) / 2001.0
         in_range = (cdf >= delta) & (cdf <= 1 - delta)
@@ -130,8 +128,7 @@ def test_npn_transform_near_identity_on_normal_data():
 def test_npn_transform_clamps_maximum():
     rng = np.random.default_rng(33)
     x = rng.standard_normal((300, 2))
-    cfg = NpnConfig()
-    z = npn_transform(x, cfg)
+    z = npn_transform(x)
     delta = npn_delta(300)
     for j in range(2):
         col = x[:, j]
@@ -144,7 +141,7 @@ def test_npn_transform_preserves_ranks():
     # exactly where the truncation clamps the extremes)
     rng = np.random.default_rng(34)
     x = rng.gamma(2.0, size=(200, 3))
-    z = npn_transform(x, NpnConfig())
+    z = npn_transform(x)
     for j in range(3):
         order = np.argsort(x[:, j])
         assert np.all(np.diff(z[order, j]) >= 0)
@@ -156,14 +153,14 @@ def test_npn_transform_degenerate_column():
     x = np.ones((50, 2))
     x[:, 0] = np.arange(50)
     with pytest.raises(DegenerateColumn):
-        npn_transform(x, NpnConfig())
+        npn_transform(x)
 
 
 def test_npn_cdf_respects_truncation():
     rng = np.random.default_rng(35)
     x = rng.standard_normal((100, 1))
     delta = npn_delta(100)
-    z = npn_transform(x, NpnConfig())
+    z = npn_transform(x)
     # back out Phi^{-1}(F~) and check its range
     col = x[:, 0]
     q = (z[:, 0] - col.mean()) / col.std()
@@ -181,7 +178,7 @@ def test_npn_close_to_glasso_on_normal_data():
         om[i, j] = om[j, i] = 0.35
     X = rng.multivariate_normal(np.zeros(5), np.linalg.inv(om), size=2000)
     lam = 0.05
-    res = fit_nonparanormal(X, NpnConfig(lam=lam))
+    res = fit_nonparanormal(X, lam)
     d = X - X.mean(axis=0)
     s = d.T @ d / 2000
     s = (s + s.T) / 2
@@ -192,9 +189,9 @@ def test_npn_close_to_glasso_on_normal_data():
 
 def test_npn_explicit_delta_validated():
     with pytest.raises(ValueError):
-        NpnConfig(delta_n=0.7)
+        study.estimator("npn", delta_n=0.7)
     with pytest.raises(ValueError):
-        NpnConfig(delta_n="bogus")
+        study.estimator("npn", delta_n="bogus")
 
 
 def test_tlasso_factorizes_each_iterate_once(monkeypatch):
@@ -207,7 +204,7 @@ def test_tlasso_factorizes_each_iterate_once(monkeypatch):
         return real(omega)
 
     monkeypatch.setattr(baselines, "spd_factorize", counting)
-    res = fit_tlasso(X, TlassoConfig(nu=1.0, lam=0.1))
+    res = fit_tlasso(X, 0.1, nu=1.0)
     monkeypatch.undo()
     assert res.mm_iterations >= 2
     assert len(seen) == len(set(seen)) == res.mm_iterations + 1
@@ -248,7 +245,7 @@ def _reference_em(X, nu, lam, init, max_iter=200):
 
 def test_tlasso_path_equals_reference_em():
     X, _, _ = mixture_24(seed=38)
-    path = baselines.tlasso_path(X, 1.0, K=5)
+    path = solution_path(X, study.estimator("tlasso", nu=1.0), K=5)
     assert all(s == "ok" for s in path.statuses)
     theta = baselines.tlasso_diagonal_start(X, 1.0)[0]
     for k, (lam, res) in enumerate(zip(path.lambdas, path.fits)):
@@ -275,7 +272,7 @@ def test_tlasso_path_factorizes_each_iterate_once(monkeypatch):
         return real(omega)
 
     monkeypatch.setattr(baselines, "spd_factorize", counting)
-    path = baselines.tlasso_path(X, 1.0, K=5)
+    path = solution_path(X, study.estimator("tlasso", nu=1.0), K=5)
     monkeypatch.undo()
     assert all(s == "ok" for s in path.statuses)
     # the start is factorized once and every EM iterate once; a later
@@ -291,9 +288,8 @@ def test_tlasso_path_factorizes_each_iterate_once(monkeypatch):
 
 def test_npn_path_is_the_glasso_path_of_the_transformed_data():
     X, _, _ = mixture_24(seed=40)
-    kw = dict(gamma=0.1, nu=1.0, delta_n="auto", K=5, delta=0.2, tol=1e-7, max_iter=200)
-    npn = study.fit_path("npn", X, **kw)
-    glasso = study.fit_path("glasso", npn_transform(X, NpnConfig()), **kw)
+    npn = solution_path(X, study.estimator("npn"), K=5)
+    glasso = solution_path(npn_transform(X), study.estimator("glasso"), K=5)
     assert np.array_equal(npn.lambdas, glasso.lambdas)
     assert npn.statuses == glasso.statuses
     for a, b in zip(npn.fits, glasso.fits):

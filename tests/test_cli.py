@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 import warnings
@@ -550,14 +551,16 @@ def test_csv_roundtrip_17_digits(tmp_path):
 
 
 def test_bench_failed_estimator_exit_2_with_all_artifacts(tmp_path, monkeypatch):
-    real_fit_path = study.fit_path
+    real_estimator = study.estimator
 
-    def fit_path(estimator, X, **kw):
-        if estimator == "npn":
-            raise DegenerateScatter("forced failure")
-        return real_fit_path(estimator, X, **kw)
+    def failing_start(X):
+        raise DegenerateScatter("forced failure")
 
-    monkeypatch.setattr(study, "fit_path", fit_path)
+    def estimator(name, **kw):
+        est = real_estimator(name, **kw)
+        return dataclasses.replace(est, start=failing_start) if name == "npn" else est
+
+    monkeypatch.setattr(study, "estimator", estimator)
     monkeypatch.setenv("RGGM_THREADS", "1")
     out = tmp_path / "bench"
     code = run(
@@ -600,15 +603,13 @@ def test_bench_workers_threads_env_unset_uses_all_cpus(monkeypatch):
     assert cli._bench_workers() == 3
 
 
-# --- fit_path: the shared path layer for every estimator --------------------
-
-PATH_KW = dict(gamma=0.1, nu=1.0, delta_n="auto", K=10, delta=0.2, tol=1e-7, max_iter=200)
+# --- solution_path: the shared path layer for every estimator --------------
 
 
 @pytest.mark.parametrize("estimator", study.ESTIMATORS)
 def test_fit_path_shape(estimator):
     X, _, _ = mixture_24(seed=22)
-    path = study.fit_path(estimator, X, **PATH_KW)
+    path = gamma_mm.solution_path(X, study.estimator(estimator))
     assert len(path.lambdas) == len(path.fits) == len(path.statuses) == 10
     assert all(s == "ok" for s in path.statuses)
     assert len(edge_set(path.fits[0].theta.omega)) == 0
@@ -622,15 +623,14 @@ def test_fit_path_first_point_is_the_start():
     spec = simgen.SimSpec(p=25, n=200, model="ii", epsilon=0.1, eta=5.0, ba_m=1,
                           seed=simgen.replicate_seed(42, 1))
     X, _, _ = simgen.generate(spec)
-    kw = dict(PATH_KW, gamma=0.05)
     starts = {
         "gamma": gamma_mm.diagonal_start(X, 0.05)[0],
         "glasso": gamma_mm.diagonal_start(X, 0.0)[0],
         "tlasso": baselines.tlasso_diagonal_start(X, 1.0)[0],
-        "npn": gamma_mm.diagonal_start(baselines.npn_transform(X, baselines.NpnConfig()), 0.0)[0],
+        "npn": gamma_mm.diagonal_start(baselines.npn_transform(X), 0.0)[0],
     }
     for estimator, start in starts.items():
-        first = study.fit_path(estimator, X, **kw).fits[0]
+        first = gamma_mm.solution_path(X, study.estimator(estimator, gamma=0.05)).fits[0]
         omega = first.theta.omega
         assert np.array_equal(omega, np.diag(np.diag(omega))), estimator
         assert np.array_equal(first.theta.mu, start.mu), estimator
@@ -661,8 +661,8 @@ def test_npn_path_transforms_once_and_starts_cold(monkeypatch):
         return orig(*args, **kw)
 
     monkeypatch.setattr(baselines, "npn_transform", counting)
-    path = study.fit_path("npn", X, **PATH_KW)
+    path = gamma_mm.solution_path(X, study.estimator("npn"))
     assert len(calls) == 1
-    first = baselines.fit_nonparanormal(X, baselines.NpnConfig(lam=float(path.lambdas[0])))
+    first = baselines.fit_nonparanormal(X, float(path.lambdas[0]))
     assert np.array_equal(path.fits[0].theta.mu, first.theta.mu)
     assert np.array_equal(path.fits[0].theta.omega, first.theta.omega)

@@ -8,6 +8,7 @@ from scipy.special import logsumexp
 
 from robustggm import (
     DegenerateSample,
+    GammaRule,
     GlassoProblem,
     ModelParams,
     RobustConfig,
@@ -25,9 +26,9 @@ from robustggm import (
     spd_factorize,
     weighted_scatter,
 )
-from robustggm import baselines, gamma_mm, objective
+from robustggm import baselines, gamma_mm, objective, simgen, study
 from robustggm.errors import DegenerateScatter
-from robustggm.gamma_mm import diagonal_fixed_point, exp_weights, geometric_grid, warm_path
+from robustggm.gamma_mm import diagonal_fixed_point, exp_weights, geometric_grid
 from conftest import mixture_24, random_spd, random_theta
 
 
@@ -204,7 +205,7 @@ def test_fit_gamma_zero_matches_glasso():
         s = (s + s.T) / 2
         off = ~np.eye(p, dtype=bool)
         lam = 0.3 * float(np.abs(s[off]).max())
-        res = fit(X, RobustConfig(gamma=0.0, lam=lam))
+        res = fit(X, GammaRule(RobustConfig(gamma=0.0, lam=lam)))
         direct = solve(GlassoProblem(s=s, lam=lam))
         assert res.converged
         assert np.max(np.abs(res.theta.omega - direct.omega)) < 1e-5
@@ -215,7 +216,7 @@ def test_fit_gamma_zero_takes_one_exact_step():
     # solve, on the sample covariance, is the estimate
     X, _, _ = mixture_24(seed=7)
     lam = 0.1
-    res = fit(X, RobustConfig(gamma=0.0, lam=lam))
+    res = fit(X, GammaRule(RobustConfig(gamma=0.0, lam=lam)))
     assert res.converged and res.mm_iterations == 1 and len(res.objective_trace) == 2
     w = np.full(X.shape[0], 1.0 / X.shape[0])
     s = weighted_scatter(X, w @ X, w)
@@ -229,7 +230,7 @@ def test_fit_recovers_support_on_clean_data():
     for i, j in [(0, 1), (0, 2), (1, 4), (2, 3)]:
         om[i, j] = om[j, i] = 0.3
     X = rng.multivariate_normal(np.zeros(5), np.linalg.inv(om), size=2000)
-    path = solution_path(X, gamma=0.1)
+    path = solution_path(X, study.estimator("gamma", gamma=0.1))
     truth = {(1, 2), (1, 3), (2, 5), (3, 4)}
     supports = [set(edge_set(f.theta.omega).edges) for f in path.fits]
     assert truth in supports
@@ -241,7 +242,7 @@ def test_fit_downweights_contamination():
         X, labels, _ = mixture_24(seed=100 + seed)
         if labels.sum() == 0:
             continue
-        res = fit(X, RobustConfig(gamma=0.1, lam=0.1))
+        res = fit(X, GammaRule(RobustConfig(gamma=0.1, lam=0.1)))
         w = res.weights
         ratios.append(w[labels].mean() / w[~labels].mean())
     assert len(ratios) >= 18
@@ -252,7 +253,7 @@ def test_fit_trace_monotone_and_pd():
     rng = np.random.default_rng(9)
     for seed in range(5):
         X, _, _ = mixture_24(seed=200 + seed, n=120)
-        res = fit(X, RobustConfig(gamma=0.5, lam=0.2), keep_iterates=True)
+        res = fit(X, GammaRule(RobustConfig(gamma=0.5, lam=0.2)), keep_iterates=True)
         tr = res.objective_trace
         assert all(b <= a + 1e-9 * max(1.0, abs(a)) for a, b in zip(tr, tr[1:]))
         for theta in res.iterates:
@@ -272,9 +273,9 @@ def test_fit_weight_normalization_every_iteration():
 def test_fit_permutation_equivariance():
     X, _, _ = mixture_24(seed=11)
     cfg = RobustConfig(gamma=0.1, lam=0.15)
-    res = fit(X, cfg, tol=1e-10)
+    res = fit(X, GammaRule(cfg, 1e-10))
     perm = np.array([3, 0, 4, 1, 2])
-    resp = fit(X[:, perm], cfg, tol=1e-10)
+    resp = fit(X[:, perm], GammaRule(cfg, 1e-10))
     np.testing.assert_allclose(resp.theta.mu, res.theta.mu[perm], atol=1e-6)
     np.testing.assert_allclose(
         resp.theta.omega, res.theta.omega[np.ix_(perm, perm)], atol=1e-5
@@ -283,7 +284,7 @@ def test_fit_permutation_equivariance():
 
 def test_fit_max_iter_soft_failure():
     X, _, _ = mixture_24(seed=12)
-    res = fit(X, RobustConfig(gamma=0.2, lam=0.05), max_iter=1)
+    res = fit(X, GammaRule(RobustConfig(gamma=0.2, lam=0.05)), max_iter=1)
     assert not res.converged
     assert res.mm_iterations == 1
 
@@ -451,9 +452,9 @@ def test_lambda_boundary_probe():
     for seed in range(5):
         X, _, _ = mixture_24(seed=300 + seed)
         theta0, _, lam1 = diagonal_start(X, 0.1)
-        hi = fit(X, RobustConfig(gamma=0.1, lam=lam1), init=theta0)
+        hi = fit(X, GammaRule(RobustConfig(gamma=0.1, lam=lam1)), init=theta0)
         assert len(edge_set(hi.theta.omega)) == 0
-        lo = fit(X, RobustConfig(gamma=0.1, lam=0.9 * lam1), init=theta0)
+        lo = fit(X, GammaRule(RobustConfig(gamma=0.1, lam=0.9 * lam1)), init=theta0)
         assert len(edge_set(lo.theta.omega)) >= 1
 
 
@@ -461,13 +462,13 @@ def test_lambda_boundary_probe():
 
 def test_path_first_point_empty_support():
     X, _, _ = mixture_24(seed=18)
-    path = solution_path(X, gamma=0.1)
+    path = solution_path(X, study.estimator("gamma", gamma=0.1))
     assert len(edge_set(path.fits[0].theta.omega)) == 0
 
 
 def test_path_grid_endpoints():
     X, _, _ = mixture_24(seed=19)
-    path = solution_path(X, gamma=0.1, K=10, delta=0.2)
+    path = solution_path(X, study.estimator("gamma", gamma=0.1), K=10, delta=0.2)
     assert len(path.lambdas) == 10
     assert np.all(np.diff(path.lambdas) < 0)
     assert path.lambdas[-1] == 0.2 * path.lambdas[0]
@@ -476,11 +477,11 @@ def test_path_grid_endpoints():
 
 def test_path_refit_idempotent():
     X, _, _ = mixture_24(seed=20)
-    path = solution_path(X, gamma=0.1, K=4, delta=0.2)
+    path = solution_path(X, study.estimator("gamma", gamma=0.1), K=4, delta=0.2)
     for lam, res in zip(path.lambdas, path.fits):
         cfg = RobustConfig(gamma=0.1, lam=float(lam))
         obj = penalized_gamma_objective(X, res.theta, cfg)
-        refit = fit(X, cfg, init=res.theta)
+        refit = fit(X, GammaRule(cfg), init=res.theta)
         obj2 = penalized_gamma_objective(X, refit.theta, cfg)
         assert obj2 <= obj + 1e-9 * max(1.0, abs(obj))
         assert abs(obj2 - obj) < 1e-7 * max(1.0, abs(obj))
@@ -488,7 +489,7 @@ def test_path_refit_idempotent():
 
 def test_path_statuses_ok():
     X, _, _ = mixture_24(seed=21)
-    path = solution_path(X, gamma=0.05, K=6, delta=0.3)
+    path = solution_path(X, study.estimator("gamma", gamma=0.05), K=6, delta=0.3)
     assert all(s == "ok" for s in path.statuses)
     assert len(path.fits) == len(path.lambdas) == 6
 
@@ -502,38 +503,70 @@ def test_geometric_grid_checks():
     assert grid[0] == 3.0 and grid[-1] == 0.75
 
 
-def _start(theta):
-    """A path's first point as its path function builds it: the start
-    evaluated, with no step taken."""
-    return gamma_mm.FitResult(theta=theta, weights=None, objective_trace=(0.0,),
-                              converged=False, mm_iterations=0)
+def _estimator(fit_at):
+    """An estimator whose start is "theta0" at lam1 = 3 and whose fit at a
+    later point is ``fit_at(lam, init)``.  The first point is the start
+    evaluated with no step, as the path asks for it (max_iter = 0)."""
+
+    def fit(X, lam, init=None, max_iter=200, init_score=None):
+        if max_iter == 0:
+            return gamma_mm.FitResult(theta=init, weights=None, objective_trace=(0.0,),
+                                      converged=False, mm_iterations=0)
+        return fit_at(lam, init)
+
+    return gamma_mm.Estimator(start=lambda X: ("theta0", None, 3.0), fit=fit)
 
 
 def test_warm_path_point_failure_keeps_going():
+    lambdas = geometric_grid(3.0, 5, 0.2)
     starts = []
 
-    def fit_at(lam, last):
-        starts.append(last.theta)
-        if lam == 2.0:
+    def fit_at(lam, init):
+        starts.append(init)
+        k = int(np.flatnonzero(lambdas == lam)[0])
+        if k == 1:
             raise DegenerateScatter("collapsed")
-        return SimpleNamespace(theta=f"theta@{lam}", converged=lam != 4.0)
+        return SimpleNamespace(theta=f"theta@{k}", converged=k != 4, logf=None)
 
-    path = warm_path(np.array([3.0, 2.0, 1.5, 1.2, 4.0]), _start("theta0"), fit_at)
+    path = solution_path(np.zeros((2, 2)), _estimator(fit_at), K=5, delta=0.2)
+    assert np.array_equal(path.lambdas, lambdas)
     assert path.statuses == ("ok", "error: collapsed", "ok", "ok", "max_iter")
     assert path.fits[1] is None
     # the first point is the start, converged, with no fit_at call at lambdas[0]
     assert path.fits[0].theta == "theta0" and path.fits[0].converged
-    assert [f.theta for f in path.fits[2:]] == ["theta@1.5", "theta@1.2", "theta@4.0"]
+    assert [f.theta for f in path.fits[2:]] == ["theta@2", "theta@3", "theta@4"]
     # the point after the failure starts from the last estimate before it
-    assert starts == ["theta0", "theta0", "theta@1.5", "theta@1.2"]
+    assert starts == ["theta0", "theta0", "theta@2", "theta@3"]
 
 
 def test_warm_path_propagates_non_estimation_errors():
-    def fit_at(lam, last):
+    def fit_at(lam, init):
         raise ValueError("bad input")
 
     with pytest.raises(ValueError):
-        warm_path(np.array([1.0, 0.5]), _start("theta0"), fit_at)
+        solution_path(np.zeros((2, 2)), _estimator(fit_at), K=2)
+
+
+# --- metamorphic: what a path cannot depend on ---------------------------------
+
+def _path_support(X, name):
+    path = solution_path(X, study.estimator(name, gamma=0.1), K=6)
+    return path.statuses, [None if f is None else edge_set(f.theta.omega).edges for f in path.fits]
+
+
+@pytest.mark.parametrize("name", study.ESTIMATORS)
+def test_path_support_ignores_row_order_and_location(name):
+    """Each estimator's path keeps every status and edge set when the rows
+    are permuted (the path benchmark shuffles its data file's rows) or a
+    constant is added to each column."""
+    for seed in range(6):
+        p, n = 3 + seed, 40 + 16 * seed
+        spec = simgen.SimSpec(p=p, n=n, model="ii", epsilon=0.1, eta=5.0, seed=seed)
+        X, _, _ = simgen.generate(spec)
+        rng = np.random.default_rng(seed)
+        base = _path_support(X, name)
+        assert _path_support(X[rng.permutation(n)], name) == base, seed
+        assert _path_support(X + rng.uniform(-5.0, 5.0, p), name) == base, seed
 
 
 # --- work: one log-density per iterate --------------------------------------------
@@ -567,7 +600,7 @@ def test_path_one_log_density_per_iterate_and_same_numbers(monkeypatch, gamma):
 
     for module in (gamma_mm, objective):
         monkeypatch.setattr(module, "log_density", counting)
-    path = solution_path(X, gamma=gamma, K=5, delta=0.2)
+    path = solution_path(X, study.estimator("gamma", gamma=gamma), K=5, delta=0.2)
     monkeypatch.undo()
     assert all(s == "ok" for s in path.statuses)
     # the first fit evaluates its start, and every fit each of its MM

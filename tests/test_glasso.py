@@ -16,6 +16,7 @@ from robustggm import (
     NotPositiveDefinite,
     glasso_objective,
     kkt_residual,
+    solution_path,
     solve,
 )
 from robustggm.matcore import require_symmetric, spd_factorize
@@ -512,9 +513,8 @@ def study_p25_work():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(glasso, "solve", counted_solve)
         work["statuses"] = [
-            study.fit_path(est, X, gamma=0.05, nu=1.0, delta_n="auto", K=10,
-                           delta=0.2, tol=1e-7, max_iter=200).statuses
-            for est in study.ESTIMATORS
+            solution_path(X, study.estimator(name, gamma=0.05)).statuses
+            for name in study.ESTIMATORS
         ]
     return work
 

@@ -39,11 +39,13 @@ def test_edge_set_symmetric_input():
     assert edge_set(om).edges == edge_set(om.T).edges
 
 
-def test_edge_set_zero_tolerance_guards_dust():
-    om = np.eye(3)
-    om[0, 1] = om[1, 0] = 1e-12
-    om[0, 2] = om[2, 0] = 1e-4
-    assert edge_set(om).edges == {(1, 3)}
+def test_edge_set_reads_exact_nonzeros():
+    """No absolute tolerance: an edge of a precision in small units stays an edge."""
+    om = np.eye(4)
+    om[0, 1] = om[1, 0] = 1e-9
+    om[0, 2] = om[2, 0] = -1e-300
+    om[1, 3] = om[3, 1] = 0.0
+    assert edge_set(om).edges == {(1, 2), (1, 3)}
 
 
 # --- score_point: a path point's ROC coordinates (nnz, tpr) and MSE -----------

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from robustggm import GlassoProblem, cli, solve
+from robustggm import GlassoProblem, cli, simgen, solution_path, solve, study
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 PERFBENCH = SCRIPTS.parent / "perfbench"
@@ -106,3 +106,36 @@ def test_perfbench_layer_metrics_are_all_measured(tmp_path, monkeypatch):
         metrics = tracer.layer_metrics(tr, 1, 1.0, 1.0)
         unmeasured = [k for k, (v, _) in metrics.items() if v is None or not math.isfinite(v)]
         assert not unmeasured, (w.name, unmeasured)
+
+
+def test_perfbench_counts_every_study_point_once(tmp_path, monkeypatch):
+    """On a traced `study_p25` round every path point, whatever its
+    estimator, is one ``gamma_mm.fit`` call: 40 points over four paths.
+    So ``gamma_mm.mm_steps_per_point`` is the round's MM/EM steps over
+    its points, and ``baselines.em_steps`` sums the tlasso path's EM steps."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    workloads = importlib.import_module("workloads")
+    monkeypatch.setenv("RGGM_THREADS", "1")
+    monkeypatch.chdir(tmp_path)
+    w = workloads.WORKLOADS["study_p25"]
+    (argv,) = workloads.round_argvs(w)
+    tr = tracer.Tracer()
+    tr.install()
+    tr.phase = "body"
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        tr.uninstall()
+    metrics = {k: v for k, (v, _) in tracer.layer_metrics(tr, 1, 1.0, 1.0).items()}
+    points = w.points_per_round
+    assert points == 40
+    assert metrics["gamma_mm.fit.calls"] == points
+    assert metrics["gamma_mm.mm_steps_per_point"] == metrics["gamma_mm.mm_step.calls"] / points
+
+    # the round's one replicate, refit here from its own flags
+    args = cli.build_parser().parse_args(argv)
+    X, _, _ = simgen.generate(cli._sim_spec(args, simgen.replicate_seed(args.seed, 0)))
+    K, delta = cli._parse_grid(args.lambda_grid)
+    tlasso = solution_path(X, study.estimator("tlasso", nu=args.nu), K, delta, args.max_iter)
+    assert metrics["baselines.em_steps"] == sum(f.mm_iterations for f in tlasso.fits)
